@@ -8,22 +8,22 @@ exception Interrupted
 
 type result = Sat | Unsat
 
-(* Growable int-array vector used for watch lists. *)
+(* Growable int-array vector used for watch lists.  Starts without a
+   backing array: most literals of a large instance are never watched,
+   and an unused list then costs only its record. *)
 module Ivec = struct
   type t = { mutable data : int array; mutable len : int }
 
-  let create () = { data = Array.make 4 0; len = 0 }
+  let create () = { data = [||]; len = 0 }
 
   let push t x =
     if t.len = Array.length t.data then begin
-      let data = Array.make (2 * t.len) 0 in
+      let data = Array.make (max 4 (2 * t.len)) 0 in
       Array.blit t.data 0 data 0 t.len;
       t.data <- data
     end;
     t.data.(t.len) <- x;
     t.len <- t.len + 1
-
-  let clear t = t.len <- 0
 end
 
 type t = {
@@ -47,6 +47,7 @@ type t = {
   mutable decisions : int;
   mutable propagations : int;
   mutable seen : bool array;           (* scratch for conflict analysis *)
+  mutable lits : int array;            (* scratch for clause normalization *)
 }
 
 let create () =
@@ -71,6 +72,7 @@ let create () =
     decisions = 0;
     propagations = 0;
     seen = Array.make 16 false;
+    lits = Array.make 16 0;
   }
 
 let grow_int_array a n default =
@@ -129,6 +131,7 @@ let ilit_of_dimacs l = if l > 0 then 2 * l else 2 * (-l) + 1
 let ilit_var l = l lsr 1
 let ilit_sign l = l land 1 = 1 (* true = negated *)
 let ilit_neg l = l lxor 1
+let dimacs_of_ilit l = if ilit_sign l then -ilit_var l else ilit_var l
 
 (* Value of an internal literal: -1 unassigned, 0 false, 1 true. *)
 let lit_value t l =
@@ -174,41 +177,79 @@ let cancel_until t lvl =
     t.trail_lim_len <- lvl
   end
 
+(* Sort a clause's internal literals into [t.lits], ascending and
+   without duplicates (the order [List.sort_uniq] gives), and return
+   how many there are — or -1 for a tautology.  Clauses are short, so
+   insertion sort into a reused buffer beats building and sorting
+   lists; once sorted, a complementary pair [2v; 2v+1] is adjacent. *)
+let normalize t dimacs_lits =
+  let need = List.length dimacs_lits in
+  if Array.length t.lits < need then
+    t.lits <- Array.make (max need (2 * Array.length t.lits)) 0;
+  let buf = t.lits in
+  let n =
+    List.fold_left
+      (fun n d ->
+         let l = ilit_of_dimacs d in
+         let j = ref n in
+         while !j > 0 && buf.(!j - 1) > l do decr j done;
+         if !j > 0 && buf.(!j - 1) = l then n
+         else begin
+           Array.blit buf !j buf (!j + 1) (n - !j);
+           buf.(!j) <- l;
+           n + 1
+         end)
+      0 dimacs_lits
+  in
+  let taut = ref false in
+  for i = 0 to n - 2 do
+    if buf.(i + 1) = buf.(i) lxor 1 then taut := true
+  done;
+  if !taut then -1 else n
+
 let add_clause t dimacs_lits =
   if not t.unsat then begin
     (* Incremental use leaves the trail populated after a [Sat] answer;
        the level-0 simplification below is only sound against the
        level-0 prefix, so drop any standing decisions first. *)
     if decision_level t > 0 then cancel_until t 0;
-    (* Dedupe and detect tautologies. *)
-    let lits = List.sort_uniq Int.compare (List.map ilit_of_dimacs dimacs_lits) in
-    let taut = List.exists (fun l -> List.mem (ilit_neg l) lits) lits in
-    if not taut then begin
+    let n = normalize t dimacs_lits in
+    if n >= 0 then begin
+      let buf = t.lits in
+      let fixed l = t.level.(ilit_var l) = 0 in
       (* Drop literals already false at level 0; if any literal is true
          at level 0 the clause is satisfied. *)
-      let satisfied =
-        List.exists (fun l -> lit_value t l = 1 && t.level.(ilit_var l) = 0) lits
-      in
-      if not satisfied then begin
-        let lits =
-          List.filter
-            (fun l -> not (lit_value t l = 0 && t.level.(ilit_var l) = 0))
-            lits
-        in
-        match lits with
-        | [] -> t.unsat <- true
-        | [ l ] ->
+      let satisfied = ref false in
+      for i = 0 to n - 1 do
+        if lit_value t buf.(i) = 1 && fixed buf.(i) then satisfied := true
+      done;
+      if not !satisfied then begin
+        let k = ref 0 in
+        for i = 0 to n - 1 do
+          let l = buf.(i) in
+          if not (lit_value t l = 0 && fixed l) then begin
+            buf.(!k) <- l;
+            incr k
+          end
+        done;
+        match !k with
+        | 0 -> t.unsat <- true
+        | 1 ->
+          let l = buf.(0) in
           (match lit_value t l with
            | 1 -> ()
            | 0 -> t.unsat <- true
            | _ -> enqueue t l (-1))
-        | _ -> ignore (add_clause_internal t (Array.of_list lits))
+        | k -> ignore (add_clause_internal t (Array.sub buf 0 k))
       end
     end
   end
 
 (* Propagation with two watched literals; returns conflicting clause id
-   or -1. *)
+   or -1.  Each watch list is compacted in place (MiniSat-style): kept
+   entries slide down in their original order, and an entry whose
+   clause found a new watch moves to that literal's list — never this
+   one, since the new watch is not false. *)
 let propagate t =
   let conflict = ref (-1) in
   while !conflict = -1 && t.qhead < t.trail_len do
@@ -218,14 +259,14 @@ let propagate t =
     let false_lit = ilit_neg l in
     (* Clauses watching false_lit must find a new watch. *)
     let ws = t.watches.(false_lit) in
-    let old = Array.sub ws.Ivec.data 0 ws.Ivec.len in
-    Ivec.clear ws;
-    let n = Array.length old in
-    let i = ref 0 in
-    while !i < n do
-      let cid = old.(!i) in
-      incr i;
-      if !conflict <> -1 then Ivec.push ws cid
+    let data = ws.Ivec.data in
+    let j = ref 0 in
+    for i = 0 to ws.Ivec.len - 1 do
+      let cid = data.(i) in
+      if !conflict <> -1 then begin
+        data.(!j) <- cid;
+        incr j
+      end
       else begin
         let c = t.clauses.(cid) in
         (* Ensure c.(1) is the false literal. *)
@@ -233,7 +274,10 @@ let propagate t =
           c.(0) <- c.(1);
           c.(1) <- false_lit
         end;
-        if lit_value t c.(0) = 1 then Ivec.push ws cid
+        if lit_value t c.(0) = 1 then begin
+          data.(!j) <- cid;
+          incr j
+        end
         else begin
           (* Search for a non-false literal to watch. *)
           let len = Array.length c in
@@ -251,13 +295,15 @@ let propagate t =
           done;
           if not !found then begin
             (* Unit or conflicting. *)
-            Ivec.push ws cid;
+            data.(!j) <- cid;
+            incr j;
             if lit_value t c.(0) = 0 then conflict := cid
             else if lit_value t c.(0) = -1 then enqueue t c.(0) cid
           end
         end
       end
-    done
+    done;
+    ws.Ivec.len <- !j
   done;
   !conflict
 
@@ -479,3 +525,14 @@ let value t v =
 let stats_conflicts t = t.conflicts
 let stats_decisions t = t.decisions
 let stats_propagations t = t.propagations
+
+let clauses t =
+  List.init t.nclauses (fun i -> Array.map dimacs_of_ilit t.clauses.(i))
+
+let trail t = List.init t.trail_len (fun i -> dimacs_of_ilit t.trail.(i))
+
+let watch_list t l =
+  let ws = t.watches.(ilit_of_dimacs l) in
+  List.init ws.Ivec.len (fun i -> ws.Ivec.data.(i))
+
+let is_unsat t = t.unsat

@@ -68,3 +68,25 @@ val value : t -> int -> bool
 val stats_conflicts : t -> int
 val stats_decisions : t -> int
 val stats_propagations : t -> int
+
+(** {2 Introspection}
+
+    Read-only views of the clause database, in DIMACS literals, for
+    tests that pin the solver's internal order: the order of stored
+    clauses and watch lists decides which clause propagation visits
+    first, and so every later conflict and model. *)
+
+val clauses : t -> int array list
+(** Every stored clause — problem and learned, by clause id — with its
+    literals in their current storage order.  Units, tautologies and
+    clauses satisfied at level 0 are not stored (see {!add_clause}). *)
+
+val trail : t -> int list
+(** Assigned literals, in assignment order. *)
+
+val watch_list : t -> int -> int list
+(** Ids of the clauses watching a literal, in watch-list order. *)
+
+val is_unsat : t -> bool
+(** The instance is permanently unsatisfiable: a level-0 conflict or an
+    empty clause, independent of any assumption. *)

@@ -22,4 +22,5 @@ let () =
       ("deepobs", Test_deepobs.suite);
       ("distributed", Test_distributed.suite);
       ("service", Test_service.suite);
+      ("witness", Test_witness.suite);
     ]

@@ -968,6 +968,139 @@ let test_solver_timeout_budget_shared () =
        Alcotest.(check bool) "stalls counted as timeouts" true
          (after.Solver.Stats.sat_timeouts > before.Solver.Stats.sat_timeouts))
 
+(* ------------------------------------------------------------------ *)
+(* SAT core: clause normalization and watch order                      *)
+
+(* The list-based [Sat.add_clause] normalizer that the in-place array
+   version replaced, kept as the reference: literals ordered by
+   [List.sort_uniq] on internal literals (2v, 2v+1), tautologies
+   dropped, literals fixed at level 0 filtered, units enqueued, an
+   empty result latching unsat.  Its state is what [add_clause]
+   touches while no search has run: the stored clauses, the trail of
+   level-0 units and the unsat flag. *)
+module Ref_clauses = struct
+  type t = {
+    mutable assign : (int * bool) list;  (* var -> value, level 0 *)
+    mutable trail : int list;            (* DIMACS, newest first *)
+    mutable stored : int array list;     (* DIMACS, newest first *)
+    mutable unsat : bool;
+  }
+
+  let create () = { assign = []; trail = []; stored = []; unsat = false }
+  let ilit d = if d > 0 then 2 * d else (2 * -d) + 1
+  let dimacs l = if l land 1 = 0 then l lsr 1 else -(l lsr 1)
+
+  let value st l =
+    match List.assoc_opt (l lsr 1) st.assign with
+    | None -> -1
+    | Some b -> if b = (l land 1 = 0) then 1 else 0
+
+  let add st lits =
+    if not st.unsat then begin
+      let lits = List.sort_uniq Int.compare (List.map ilit lits) in
+      let taut = List.exists (fun l -> List.mem (l lxor 1) lits) lits in
+      if (not taut) && not (List.exists (fun l -> value st l = 1) lits) then
+        match List.filter (fun l -> value st l <> 0) lits with
+        | [] -> st.unsat <- true
+        | [ l ] ->
+          st.assign <- (l lsr 1, l land 1 = 0) :: st.assign;
+          st.trail <- dimacs l :: st.trail
+        | lits ->
+          st.stored <- Array.of_list (List.map dimacs lits) :: st.stored
+    end
+end
+
+(* Few variables and short clauses, so duplicates, complementary pairs
+   and literals fixed by earlier units are common. *)
+let arb_clause_script =
+  let open QCheck in
+  let gen =
+    Gen.(
+      int_range 1 6 >>= fun nvars ->
+      let lit =
+        map2 (fun v s -> if s then v else -v) (int_range 1 nvars) bool
+      in
+      let size =
+        frequency [ (1, return 0); (3, return 1); (12, int_range 2 6) ]
+      in
+      list_size (int_range 1 40) (list_size size lit) >|= fun cls ->
+      (nvars, cls))
+  in
+  let print (nvars, cls) =
+    Printf.sprintf "%d vars: %s" nvars
+      (String.concat " "
+         (List.map
+            (fun c -> "[" ^ String.concat ";" (List.map string_of_int c) ^ "]")
+            cls))
+  in
+  make ~print gen
+
+let prop_add_clause_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500
+       ~name:"sat: add_clause matches the list-based reference"
+       arb_clause_script
+       (fun (nvars, clauses) ->
+          let s = Sat.create () in
+          for _ = 1 to nvars do
+            ignore (Sat.new_var s)
+          done;
+          let r = Ref_clauses.create () in
+          List.for_all
+            (fun c ->
+               Sat.add_clause s c;
+               Ref_clauses.add r c;
+               Sat.clauses s = List.rev r.Ref_clauses.stored
+               && Sat.trail s = List.rev r.Ref_clauses.trail
+               && Sat.is_unsat s = r.Ref_clauses.unsat)
+            clauses
+          && (Sat.solve s = Sat.Sat) = brute_force_sat nvars clauses))
+
+(* Watch-list order after search, pinned.  [propagate] rewrites each
+   watch list it walks, and the order it leaves decides which clause
+   the next propagation visits first — so it steers every later
+   conflict and model.  The digest covers the watch lists, trail and
+   counters after each of three assumption solves on 30 random 3-SAT
+   instances; it was recorded with the propagator that copied each
+   watch list before walking it, which the in-place walk replaced. *)
+let test_sat_watch_order_pinned () =
+  let st = Random.State.make [| 17 |] in
+  let b = Buffer.create 65536 in
+  for _ = 1 to 30 do
+    let nvars = 8 + Random.State.int st 8 in
+    let s = Sat.create () in
+    for _ = 1 to nvars do
+      ignore (Sat.new_var s)
+    done;
+    let lit () =
+      let v = 1 + Random.State.int st nvars in
+      if Random.State.bool st then v else -v
+    in
+    for _ = 1 to 4 * nvars do
+      Sat.add_clause s (List.init 3 (fun _ -> lit ()))
+    done;
+    for _ = 1 to 3 do
+      let r = Sat.solve ~assumptions:[ lit () ] s in
+      Buffer.add_string b (if r = Sat.Sat then "S" else "U");
+      for v = 1 to nvars do
+        List.iter
+          (fun l ->
+             Buffer.add_string b
+               (Printf.sprintf " %d:%s" l
+                  (String.concat ","
+                     (List.map string_of_int (Sat.watch_list s l)))))
+          [ v; -v ]
+      done;
+      Buffer.add_string b
+        (Printf.sprintf " trail %s c%d d%d p%d\n"
+           (String.concat "," (List.map string_of_int (Sat.trail s)))
+           (Sat.stats_conflicts s) (Sat.stats_decisions s)
+           (Sat.stats_propagations s))
+    done
+  done;
+  Alcotest.(check string) "watch lists, trail and counters"
+    "f96ea188c6a5b2ddbd6a3598cec521ef" (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let suite =
   [
     ("bv: make masks", `Quick, test_bv_make_masks);
@@ -1025,5 +1158,7 @@ let suite =
      test_incremental_on_off_equivalent);
     ("solver: retry budget is per-query", `Quick,
      test_solver_timeout_budget_shared);
+    prop_add_clause_matches_reference;
+    ("sat: watch-list order pinned", `Quick, test_sat_watch_order_pinned);
   ]
   @ bv_props

@@ -1,0 +1,130 @@
+(* Witness golden: every model the engine consumes, pinned.
+
+   Error counterexamples and concretization values come from scratch
+   solves (DESIGN "Incremental solving", determinism rule).  A change
+   to the scratch CNF, to the SAT core's search order, or to which
+   queries reach the scratch pipeline and in what order can move them
+   while verdicts and bug sets stay put — and with them the path ids
+   at which Table 2's faults are first found.  This suite runs Table 1
+   (T1-T5 on the original PLIC at 4 sources) and the 8 populated
+   injected-fault cells of Table 2 (fixed PLIC at 24 sources, each
+   stopping at its first error) and compares, line by line, with
+   [witness.golden]:
+   - per error: its site, kind, path id and counterexample;
+   - per explored path: the constant equalities of its final path
+     condition, in order.  A concretization extends the path with
+     [v = e] (or its negation on the excluded side), so every
+     concretized value is among them, next to equality branches.
+
+   After an intended change to the models, regenerate with
+     WITNESS_GOLDEN_OUT=$PWD/test/witness.golden \
+       dune exec test/test_main.exe -- test witness *)
+
+module Engine = Symex.Engine
+module Error = Symex.Error
+module Expr = Smt.Expr
+module Bv = Smt.Bv
+module Tests = Symsysc.Tests
+module Fault = Plic.Fault
+
+let picks pc =
+  List.filter_map
+    (fun (c : Expr.t) ->
+       match c.Expr.node with
+       | Expr.Cmp (Expr.Eq, { Expr.node = Expr.Bv_const v; _ }, _) ->
+         Some ("=" ^ Bv.to_string v)
+       | Expr.Not
+           { Expr.node = Expr.Cmp (Expr.Eq, { Expr.node = Expr.Bv_const v; _ }, _);
+             _ } ->
+         Some ("!=" ^ Bv.to_string v)
+       | _ -> None)
+    pc
+
+(* One session, reading each explored path's condition as the path
+   ends, however it ends. *)
+let run_cell ~label session test =
+  Smt.Solver.clear_caches ();
+  let paths = ref [] in
+  let record () =
+    if Engine.exploring () then
+      paths := picks (Engine.path_condition ()) :: !paths
+  in
+  let body () =
+    match test () with
+    | () -> record ()
+    | exception e ->
+      record ();
+      raise e
+  in
+  let report = Engine.Session.run ~label session body in
+  List.map
+    (fun (e : Error.t) ->
+       Printf.sprintf "%s error %s %s path %d cex %s" label e.Error.site
+         (Error.kind_to_string e.Error.kind) e.Error.path_id
+         (String.concat " "
+            (List.map
+               (fun (name, v) -> name ^ "=" ^ Bv.to_string v)
+               e.Error.counterexample)))
+    report.Engine.errors
+  @ List.mapi
+      (fun i p -> String.concat " " (Printf.sprintf "%s path %d picks" label i :: p))
+      (List.rev !paths)
+
+let table1_lines () =
+  let params =
+    Tests.with_faults []
+      (Tests.with_variant Plic.Config.Original
+         (Tests.scaled_params ~num_sources:4 ~t5_max_len:16))
+  in
+  List.concat_map
+    (fun (name, test) ->
+       run_cell ~label:name (Engine.Session.make ()) (test params))
+    Tests.all
+
+(* The populated Table 2 cells, as the first-error benchmark runs them. *)
+let cells =
+  [ (Fault.IF1, "T1"); (Fault.IF2, "T1"); (Fault.IF4, "T1"); (Fault.IF5, "T1");
+    (Fault.IF2, "T2"); (Fault.IF3, "T2"); (Fault.IF5, "T2"); (Fault.IF6, "T3") ]
+
+let table2_lines () =
+  let base =
+    Tests.with_variant Plic.Config.Fixed
+      (Tests.scaled_params ~num_sources:24 ~t5_max_len:16)
+  in
+  List.concat_map
+    (fun (fault, name) ->
+       let test = Option.get (Tests.by_name name) in
+       run_cell
+         ~label:(Fault.to_string fault ^ "x" ^ name)
+         (Engine.Session.make ~stop_after_errors:1 ())
+         (test (Tests.with_faults [ fault ] base)))
+    cells
+
+let read_lines path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+let test_witnesses () =
+  let got = table1_lines () @ table2_lines () in
+  match Sys.getenv_opt "WITNESS_GOLDEN_OUT" with
+  | Some out ->
+    Out_channel.with_open_text out (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) got)
+  | None ->
+    let golden =
+      read_lines
+        (if Sys.file_exists "witness.golden" then "witness.golden"
+         else "test/witness.golden")
+    in
+    let rec first_diff i = function
+      | [], [] -> ()
+      | g :: gs, w :: ws when g = w -> first_diff (i + 1) (gs, ws)
+      | g, w ->
+        let show = function [] -> "<end>" | l :: _ -> l in
+        Alcotest.failf "witness line %d moved:\n  golden: %s\n  got:    %s" i
+          (show w) (show g)
+    in
+    first_diff 1 (got, golden)
+
+let suite = [ ("Table 1 and Table 2 witnesses match the golden", `Quick, test_witnesses) ]
