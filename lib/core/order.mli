@@ -8,7 +8,7 @@
     the concern the related work (SDSS, SISSI) addresses with partial
     order reduction.
 
-    Usage, inside a testbench executed by {!Symex.Engine.run}:
+    Usage, inside a testbench executed by {!Symex.Engine.Session.run}:
 
     {[
       let sched = Pk.Scheduler.create () in

@@ -99,36 +99,6 @@ let print_coverage ppf reports =
          (Obs.Coverage.pct covered arms))
     reports
 
-(* Worker-scaling companion: each row is the same campaign run with a
-   different worker count; speedup is relative to the first row (the
-   single-worker baseline), over the summed per-run wall time. *)
-let print_scaling ppf rows =
-  let wall reports =
-    List.fold_left
-      (fun acc (r : Report.t) -> acc +. r.Report.engine.Engine.wall_time)
-      0.0 reports
-  in
-  let base =
-    match rows with (_, reports) :: _ -> wall reports | [] -> 0.0
-  in
-  Format.fprintf ppf
-    "| Workers | Time [s] | Paths | Errors | Speedup |@.";
-  Format.fprintf ppf
-    "|---------|----------|-------|--------|---------|@.";
-  List.iter
-    (fun (workers, reports) ->
-       let w = wall reports in
-       let total f =
-         List.fold_left
-           (fun acc (r : Report.t) -> acc + f r.Report.engine)
-           0 reports
-       in
-       Format.fprintf ppf "| %7d | %8.2f | %5d | %6d | %6.2fx |@." workers w
-         (total (fun e -> e.Engine.paths))
-         (total (fun e -> List.length e.Engine.errors))
-         (if w > 0.0 then base /. w else 0.0))
-    rows
-
 let print_table2 ppf ~tests detections =
   let bug_names = List.map (fun d -> Verify.bug_to_string d.Verify.bug) detections in
   Format.fprintf ppf "|      ";

@@ -16,11 +16,6 @@ val print_coverage : Format.formatter -> Report.t list -> unit
     bit and branch-arm coverage percentages, aggregated over every
     peripheral / decision site the test touched. *)
 
-val print_scaling : Format.formatter -> (int * Report.t list) list -> unit
-(** Worker-scaling table: rows are (worker count, reports of the same
-    campaign at that count); Speedup is the first row's summed wall
-    time over this row's. *)
-
 val print_table2 :
   Format.formatter -> tests:string list -> Verify.detection list -> unit
 (** Table 2: rows are tests, columns are bugs; cells are the rounded

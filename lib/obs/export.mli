@@ -88,6 +88,3 @@ val metrics_bridge : unit -> int
     counter [<cat>_<name>_total], and every complete span observes its
     duration (in seconds) into histogram [<cat>_<name>_seconds].
     Returns the subscription id (for {!Sink.unsubscribe}). *)
-
-val escape_json : string -> string
-(** JSON string-body escaping (exposed for the exporter tests). *)

@@ -179,8 +179,12 @@ let run ?pressure_mb ~listener opts =
            (* A stalled client must not stall the campaign. *)
            (try Unix.setsockopt_float conn.Transport.c_in Unix.SO_RCVTIMEO 2.0
             with Unix.Unix_error _ | Invalid_argument _ -> ());
+           (* A malformed frame ([Failure]) is the client's fault: drop
+              the connection and keep serving. *)
            match Transport.read_frame conn with
-           | exception (Transport.Disconnected _ | Unix.Unix_error _) -> ()
+           | exception
+               (Transport.Disconnected _ | Unix.Unix_error _ | Failure _) ->
+             ()
            | req ->
              (try Transport.write_frame conn (dispatch req)
               with Transport.Disconnected _ | Unix.Unix_error _ -> ()))

@@ -176,9 +176,6 @@ module Stats = struct
       sat_time = flt "sat_time" }
 end
 
-let caching = ref true
-let set_caching b = caching := b
-
 let independence = ref true
 let set_independence b = independence := b
 
@@ -328,19 +325,17 @@ let set_cache_capacity ?query ?cex () =
 let cache_sizes () = (Lru.length query_cache, Lru.length cex_index)
 
 let remember_model m =
-  if !caching then begin
-    List.iter
-      (fun ((v : Expr.var), _) ->
-         let prev =
-           match Lru.find cex_index v.Expr.var_id with
-           | Some models -> models
-           | None -> []
-         in
-         Lru.put cex_index v.Expr.var_id
-           (m :: List.filteri (fun i _ -> i < cex_per_var - 1) prev))
-      (Model.bindings m);
-    note_evictions ()
-  end
+  List.iter
+    (fun ((v : Expr.var), _) ->
+       let prev =
+         match Lru.find cex_index v.Expr.var_id with
+         | Some models -> models
+         | None -> []
+       in
+       Lru.put cex_index v.Expr.var_id
+         (m :: List.filteri (fun i _ -> i < cex_per_var - 1) prev))
+    (Model.bindings m);
+  note_evictions ()
 
 (* Candidate models are those indexed under the slice's first variable
    and binding every other slice variable; only those are evaluated.
@@ -348,23 +343,21 @@ let remember_model m =
    may come from a larger query and bind variables of other slices,
    and those extra bindings must not leak into the merged answer. *)
 let cex_lookup vars constraints =
-  if not !caching then None
-  else
-    match vars with
-    | [] -> None
-    | (v0 : Expr.var) :: rest ->
-      (match Lru.find cex_index v0.Expr.var_id with
-       | None -> None
-       | Some models ->
-         Option.map
-           (fun m -> Model.of_fun vars (Model.find m))
-           (List.find_opt
-              (fun m ->
-                 List.for_all
-                   (fun (v : Expr.var) -> Model.find_opt m v <> None)
-                   rest
-                 && Model.satisfies m constraints)
-              models))
+  match vars with
+  | [] -> None
+  | (v0 : Expr.var) :: rest ->
+    (match Lru.find cex_index v0.Expr.var_id with
+     | None -> None
+     | Some models ->
+       Option.map
+         (fun m -> Model.of_fun vars (Model.find m))
+         (List.find_opt
+            (fun m ->
+               List.for_all
+                 (fun (v : Expr.var) -> Model.find_opt m v <> None)
+                 rest
+               && Model.satisfies m constraints)
+            models))
 
 let clear_caches () =
   Lru.clear query_cache;
@@ -694,7 +687,7 @@ let check_slice ?scope ?conflict_limit ?deadline constraints =
     List.sort_uniq Int.compare
       (List.map (fun (c : Expr.t) -> c.Expr.id) constraints)
   in
-  match if !caching then Lru.find query_cache key else None with
+  match Lru.find query_cache key with
   | Some r ->
     Stats.(
       current :=
@@ -716,10 +709,8 @@ let check_slice ?scope ?conflict_limit ?deadline constraints =
           branch conditions it rebuilds embed model values — so a slice,
           once answered, must keep answering with the same model even as
           the counterexample index churns. *)
-       if !caching then begin
-         Lru.put query_cache key (Sat m);
-         note_evictions ()
-       end;
+       Lru.put query_cache key (Sat m);
+       note_evictions ();
        finish ~via:"cex" (Sat m)
      | None ->
        let r, cacheable =
@@ -728,7 +719,7 @@ let check_slice ?scope ?conflict_limit ?deadline constraints =
        (match r with
         | Unknown _ -> ()
         | Sat _ | Unsat ->
-          if !caching && cacheable then begin
+          if cacheable then begin
             Lru.put query_cache key r;
             note_evictions ()
           end);

@@ -125,8 +125,8 @@ val get_model : Expr.t list -> Model.t option
 (** [Some model] on [Sat], [None] on [Unsat].  Raises on [Unknown]. *)
 
 val clear_caches : unit -> unit
-(** Drop the query and counterexample caches (useful for benchmarks).
-    Does not count as eviction. *)
+(** Drop the query and counterexample caches (useful for tests and
+    benchmarks).  Does not count as eviction. *)
 
 val set_cache_capacity : ?query:int -> ?cex:int -> unit -> unit
 (** Bound the query cache (entries) and the counterexample index
@@ -147,22 +147,17 @@ val set_interrupt_check : (unit -> bool) -> unit
     returns [Unknown "interrupted"].  Used to make SIGINT responsive
     even during a long SAT call. *)
 
-val set_caching : bool -> unit
-(** Enable or disable both caches (enabled by default); used by the
-    cache-ablation benchmark. *)
-
 val set_independence : bool -> unit
 (** Enable or disable independence slicing (enabled by default).  When
     disabled the whole constraint set is solved as a single slice, as
     before; results are identical either way, only cost differs.  Used
-    by [--no-independence] and the independence-ablation benchmark. *)
+    by [--no-independence]. *)
 
 val set_incremental : bool -> unit
 (** Enable or disable incremental scope solving (enabled by default).
     When disabled, [check] with a [scope] falls back to the scratch
     bit-blast + fresh-[Sat.create] path; results are identical either
-    way, only cost differs.  Used by [--no-incremental] and the
-    incremental-ablation benchmark. *)
+    way, only cost differs.  Used by [--no-incremental]. *)
 
 val incremental_enabled : unit -> bool
 (** Current incremental-mode setting. *)

@@ -85,18 +85,25 @@ let read_exact fd n =
   go 0;
   Bytes.unsafe_to_string b
 
+(* The largest allowed length, [1 lsl 30], has 10 digits; a longer
+   header is rejected as soon as it is seen, not read to its end. *)
+let max_frame_len = 1 lsl 30
+let max_header_len = String.length (string_of_int max_frame_len)
+
 let read_frame_fd fd =
+  let malformed () = failwith "transport: malformed frame header" in
   let hdr = Buffer.create 8 in
   let rec header () =
     match read_byte fd with
     | '\n' -> ()
+    | _ when Buffer.length hdr >= max_header_len -> malformed ()
     | c -> Buffer.add_char hdr c; header ()
   in
   header ();
   let len =
     match int_of_string_opt (Buffer.contents hdr) with
-    | Some n when n >= 0 && n <= 1 lsl 30 -> n
-    | _ -> failwith "transport: malformed frame header"
+    | Some n when n >= 0 && n <= max_frame_len -> n
+    | _ -> malformed ()
   in
   match Json.of_string (read_exact fd len) with
   | Ok j -> j

@@ -64,7 +64,9 @@ val write_frame_fd : Unix.file_descr -> Obs.Json.t -> unit
 val read_frame_fd : Unix.file_descr -> Obs.Json.t
 (** Blocking; [EINTR]-retrying.  Raise {!Disconnected} when the peer is
     gone and [Failure] on a malformed header or payload (a framing bug
-    or corruption, not a liveness event). *)
+    or corruption, not a liveness event).  A header is malformed once it
+    runs past the 10 digits of the largest allowed length, [1 lsl 30],
+    so a peer cannot make the reader consume an unbounded header. *)
 
 val write_all : Unix.file_descr -> Bytes.t -> int -> int -> unit
 (** [write_all fd buf off len]: loop until all [len] bytes are written.

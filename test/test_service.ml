@@ -625,6 +625,29 @@ let test_daemon_quarantines_crashing_job () =
         Alcotest.(check int) "attempts surfaced" 2 j.Supervisor.attempts
       | _ -> Alcotest.fail "expected exactly one job")
 
+(* A client that sends garbage loses its connection, not the daemon:
+   the next client still gets an answer. *)
+let test_daemon_survives_malformed_frame () =
+  with_dir "symsysc_badframe" (fun dir ->
+      let pid, port = spawn_daemon dir in
+      wait_for_daemon ~port 100;
+      let conn = Transport.connect ~host:"127.0.0.1" ~port in
+      let fd = conn.Transport.c_in in
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+      ignore (Unix.write_substring fd "hello\n" 0 6);
+      (* Wait until the daemon has dropped the connection. *)
+      (try ignore (Unix.read fd (Bytes.create 64) 0 64)
+       with Unix.Unix_error _ -> ());
+      Transport.close conn;
+      let pinged = Client.ping ~host:"127.0.0.1" ~port in
+      (match Client.drain ~host:"127.0.0.1" ~port with
+       | Ok () -> ()
+       | Error _ -> (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()));
+      let exit = wait_exit pid in
+      Alcotest.(check bool) "daemon answers a ping after a malformed frame"
+        true (Result.is_ok pinged);
+      Alcotest.(check bool) "daemon drains and exits 0" true (exit = `Exit 0))
+
 let test_daemon_sheds_under_pressure () =
   with_dir "symsysc_shed" (fun dir ->
       (* In-process daemon with injected pressure.  The window opens
@@ -696,4 +719,6 @@ let suite =
       test_daemon_quarantines_crashing_job;
     Alcotest.test_case "daemon: sheds under memory pressure" `Slow
       test_daemon_sheds_under_pressure;
+    Alcotest.test_case "daemon: survives a malformed client frame" `Quick
+      test_daemon_survives_malformed_frame;
   ]
