@@ -86,7 +86,8 @@ let pp_coverage ppf t =
   Obs.Coverage.pp ppf t.engine.Engine.coverage
 
 let pp_profile ?k ppf t =
-  Obs.Profile.pp_top ?k ppf t.engine.Engine.profile
+  Obs.Profile.pp_top ?k ~queries:t.engine.Engine.solver_queries ppf
+    t.engine.Engine.profile
 
 let pp_solver_breakdown ppf t =
   let s = t.engine.Engine.solver_stats in

@@ -120,9 +120,9 @@ let of_json j =
       l
     |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let pp_top ?(k = 10) ppf t =
+let pp_top ?(k = 10) ~queries ppf t =
   let total = total_time t in
-  Format.fprintf ppf "%-28s %-12s %8s %10s %6s@." "origin" "stage" "queries"
+  Format.fprintf ppf "%-28s %-12s %8s %10s %6s@." "origin" "stage" "records"
     "self(s)" "%";
   List.iter
     (fun ((origin, stage), b) ->
@@ -130,5 +130,4 @@ let pp_top ?(k = 10) ppf t =
          b.b_count b.b_time
          (if total > 0.0 then 100.0 *. b.b_time /. total else 0.0))
     (top ~k t);
-  Format.fprintf ppf "total: %d queries, %.3fs solver time@." (total_count t)
-    total
+  Format.fprintf ppf "total: %d queries, %.3fs solver time@." queries total

@@ -54,4 +54,8 @@ val top : ?k:int -> t -> ((string * string) * bucket) list
 val to_json : t -> Json.t
 val of_json : Json.t -> t
 
-val pp_top : ?k:int -> Format.formatter -> t -> unit
+val pp_top : ?k:int -> queries:int -> Format.formatter -> t -> unit
+(** The top-[k] buckets, one row each with its record count (a query
+    leaves one record per stage it reaches), then a footer with
+    [queries] — the caller's query count, which the records cannot
+    give — and the total solver time. *)

@@ -8,34 +8,29 @@ exception Interrupted
 
 type result = Sat | Unsat
 
-(* Growable int-array vector used for watch lists.  Starts without a
-   backing array: most literals of a large instance are never watched,
-   and an unused list then costs only its record. *)
-module Ivec = struct
-  type t = { mutable data : int array; mutable len : int }
-
-  let create () = { data = [||]; len = 0 }
-
-  let push t x =
-    if t.len = Array.length t.data then begin
-      let data = Array.make (max 4 (2 * t.len)) 0 in
-      Array.blit t.data 0 data 0 t.len;
-      t.data <- data
-    end;
-    t.data.(t.len) <- x;
-    t.len <- t.len + 1
-end
-
+(* Storage is flat and reused.  The literals of clause [id] are
+   [arena.(cstart.(id)) .. arena.(cstart.(id) + clen.(id) - 1)], in one
+   int arena shared by problem and learned clauses; the watch list of
+   internal literal [l] is the first [wlen.(l)] entries of [wdata.(l)].
+   Per-variable arrays (and the per-literal watch arrays) grow together
+   under one capacity, [Array.length assign].  Nothing is freed by
+   [reset]: a reused instance keeps every array, so once it has held its
+   largest query, adding variables and clauses allocates nothing. *)
 type t = {
   mutable nvars : int;
-  mutable clauses : int array array;   (* arena; index = clause id *)
+  mutable arena : int array;           (* clause literals, back to back *)
+  mutable arena_len : int;
+  mutable cstart : int array;          (* per clause id: arena offset *)
+  mutable clen : int array;            (* per clause id: literal count *)
   mutable nclauses : int;
-  mutable watches : Ivec.t array;      (* per internal literal *)
+  mutable wdata : int array array;     (* per internal literal: clause ids *)
+  mutable wlen : int array;            (* per internal literal *)
   mutable assign : int array;          (* per var: -1 unassigned / 0 / 1 *)
   mutable level : int array;           (* per var *)
   mutable reason : int array;          (* per var: clause id or -1 *)
   mutable activity : float array;      (* per var *)
   mutable phase : bool array;          (* per var: saved polarity *)
+  mutable seen : bool array;           (* per var: conflict-analysis scratch *)
   mutable trail : int array;           (* internal literals *)
   mutable trail_len : int;
   mutable trail_lim : int array;       (* decision-level boundaries *)
@@ -46,24 +41,30 @@ type t = {
   mutable conflicts : int;
   mutable decisions : int;
   mutable propagations : int;
-  mutable seen : bool array;           (* scratch for conflict analysis *)
   mutable lits : int array;            (* scratch for clause normalization *)
 }
+
+let var_cap0 = 16
 
 let create () =
   {
     nvars = 0;
-    clauses = Array.make 64 [||];
+    arena = Array.make 64 0;
+    arena_len = 0;
+    cstart = Array.make 16 0;
+    clen = Array.make 16 0;
     nclauses = 0;
-    watches = Array.init 64 (fun _ -> Ivec.create ());
-    assign = Array.make 16 (-1);
-    level = Array.make 16 0;
-    reason = Array.make 16 (-1);
-    activity = Array.make 16 0.0;
-    phase = Array.make 16 false;
-    trail = Array.make 16 0;
+    wdata = Array.make (2 * var_cap0) [||];
+    wlen = Array.make (2 * var_cap0) 0;
+    assign = Array.make var_cap0 (-1);
+    level = Array.make var_cap0 0;
+    reason = Array.make var_cap0 (-1);
+    activity = Array.make var_cap0 0.0;
+    phase = Array.make var_cap0 false;
+    seen = Array.make var_cap0 false;
+    trail = Array.make var_cap0 0;
     trail_len = 0;
-    trail_lim = Array.make 16 0;
+    trail_lim = Array.make var_cap0 0;
     trail_lim_len = 0;
     qhead = 0;
     unsat = false;
@@ -71,57 +72,63 @@ let create () =
     conflicts = 0;
     decisions = 0;
     propagations = 0;
-    seen = Array.make 16 false;
     lits = Array.make 16 0;
   }
 
-let grow_int_array a n default =
-  if Array.length a >= n then a
-  else begin
-    let b = Array.make (max n (2 * Array.length a)) default in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  end
+(* Back to a fresh instance's state, keeping every array.  Per-variable
+   and per-literal entries are not cleared here: [new_var] initializes
+   them as it hands each variable out again, so nothing of an earlier
+   query is readable through a reset instance. *)
+let reset t =
+  t.nvars <- 0;
+  t.arena_len <- 0;
+  t.nclauses <- 0;
+  t.trail_len <- 0;
+  t.trail_lim_len <- 0;
+  t.qhead <- 0;
+  t.unsat <- false;
+  t.var_inc <- 1.0;
+  t.conflicts <- 0;
+  t.decisions <- 0;
+  t.propagations <- 0
 
-let grow_float_array a n =
-  if Array.length a >= n then a
-  else begin
-    let b = Array.make (max n (2 * Array.length a)) 0.0 in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  end
+(* [a] copied into a new array of length [n], padded with [default]. *)
+let extend a n default =
+  let b = Array.make n default in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
-let grow_bool_array a n =
-  if Array.length a >= n then a
-  else begin
-    let b = Array.make (max n (2 * Array.length a)) false in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  end
+(* The large arrays grow by half again: a reused instance keeps them for
+   good, so doubling would mostly buy slack. *)
+let grown len need = max need (len + (len lsr 1))
+
+(* The padding of [wdata] is the empty array, a static atom: a young
+   block there would make [Array.make] force a minor collection. *)
+let grow_vars t need =
+  let cap = grown (Array.length t.assign) need in
+  t.assign <- extend t.assign cap (-1);
+  t.level <- extend t.level cap 0;
+  t.reason <- extend t.reason cap (-1);
+  t.activity <- extend t.activity cap 0.0;
+  t.phase <- extend t.phase cap false;
+  t.seen <- extend t.seen cap false;
+  t.trail <- extend t.trail cap 0;
+  t.trail_lim <- extend t.trail_lim cap 0;
+  t.wdata <- extend t.wdata (2 * cap) [||];
+  t.wlen <- extend t.wlen (2 * cap) 0
 
 let new_var t =
-  t.nvars <- t.nvars + 1;
-  let v = t.nvars in
-  let n = v + 1 in
-  t.assign <- grow_int_array t.assign n (-1);
-  t.level <- grow_int_array t.level n 0;
-  t.reason <- grow_int_array t.reason n (-1);
-  t.activity <- grow_float_array t.activity n;
-  t.phase <- grow_bool_array t.phase n;
-  t.trail <- grow_int_array t.trail n 0;
-  t.trail_lim <- grow_int_array t.trail_lim n 0;
-  t.seen <- grow_bool_array t.seen n;
+  let v = t.nvars + 1 in
+  if v >= Array.length t.assign then grow_vars t (v + 1);
+  t.nvars <- v;
   t.assign.(v) <- -1;
+  t.level.(v) <- 0;
   t.reason.(v) <- -1;
-  let nlits = 2 * n + 2 in
-  if Array.length t.watches < nlits then begin
-    let w = Array.make (max nlits (2 * Array.length t.watches)) (Ivec.create ()) in
-    Array.blit t.watches 0 w 0 (Array.length t.watches);
-    for i = Array.length t.watches to Array.length w - 1 do
-      w.(i) <- Ivec.create ()
-    done;
-    t.watches <- w
-  end;
+  t.activity.(v) <- 0.0;
+  t.phase.(v) <- false;
+  t.seen.(v) <- false;
+  t.wlen.(2 * v) <- 0;
+  t.wlen.((2 * v) + 1) <- 0;
   v
 
 let num_vars t = t.nvars
@@ -149,19 +156,43 @@ let enqueue t l reason =
   t.trail.(t.trail_len) <- l;
   t.trail_len <- t.trail_len + 1
 
-let add_clause_internal t lits =
+(* Append clause id [cid] to the watch list of internal literal [l]. *)
+let watch t l cid =
+  let n = t.wlen.(l) in
+  let data = t.wdata.(l) in
+  let data =
+    if n < Array.length data then data
+    else begin
+      let d = extend data (max 4 (2 * n)) 0 in
+      t.wdata.(l) <- d;
+      d
+    end
+  in
+  data.(n) <- cid;
+  t.wlen.(l) <- n + 1
+
+(* Store the first [k >= 2] literals of [src] as the next clause and
+   watch its first two. *)
+let add_clause_internal t src k =
   let id = t.nclauses in
-  if id = Array.length t.clauses then begin
-    let c = Array.make (2 * id) [||] in
-    Array.blit t.clauses 0 c 0 id;
-    t.clauses <- c
+  if id = Array.length t.cstart then begin
+    let cap = grown id (id + 1) in
+    t.cstart <- extend t.cstart cap 0;
+    t.clen <- extend t.clen cap 0
   end;
-  t.clauses.(id) <- lits;
+  let off = t.arena_len in
+  if off + k > Array.length t.arena then
+    t.arena <- extend t.arena (grown (Array.length t.arena) (off + k)) 0;
+  let arena = t.arena in
+  for i = 0 to k - 1 do
+    arena.(off + i) <- src.(i)
+  done;
+  t.cstart.(id) <- off;
+  t.clen.(id) <- k;
+  t.arena_len <- off + k;
   t.nclauses <- id + 1;
-  if Array.length lits >= 2 then begin
-    Ivec.push t.watches.(lits.(0)) id;
-    Ivec.push t.watches.(lits.(1)) id
-  end;
+  watch t src.(0) id;
+  watch t src.(1) id;
   id
 
 let cancel_until t lvl =
@@ -177,30 +208,32 @@ let cancel_until t lvl =
     t.trail_lim_len <- lvl
   end
 
-(* Sort a clause's internal literals into [t.lits], ascending and
-   without duplicates (the order [List.sort_uniq] gives), and return
+(* Insertion-sort a clause's internal literals into [t.lits], ascending
+   and without duplicates (the order [List.sort_uniq] gives), and return
    how many there are — or -1 for a tautology.  Clauses are short, so
-   insertion sort into a reused buffer beats building and sorting
-   lists; once sorted, a complementary pair [2v; 2v+1] is adjacent. *)
+   shifting in a reused buffer beats building and sorting lists; once
+   sorted, a complementary pair [2v; 2v+1] is adjacent. *)
+let rec insert_lits t n = function
+  | [] -> n
+  | d :: rest ->
+    let l = ilit_of_dimacs d in
+    let buf = t.lits in
+    let j = ref n in
+    while !j > 0 && buf.(!j - 1) > l do decr j done;
+    if !j > 0 && buf.(!j - 1) = l then insert_lits t n rest
+    else begin
+      if n = Array.length buf then t.lits <- extend buf (2 * n) 0;
+      let buf = t.lits in
+      for i = n downto !j + 1 do
+        buf.(i) <- buf.(i - 1)
+      done;
+      buf.(!j) <- l;
+      insert_lits t (n + 1) rest
+    end
+
 let normalize t dimacs_lits =
-  let need = List.length dimacs_lits in
-  if Array.length t.lits < need then
-    t.lits <- Array.make (max need (2 * Array.length t.lits)) 0;
+  let n = insert_lits t 0 dimacs_lits in
   let buf = t.lits in
-  let n =
-    List.fold_left
-      (fun n d ->
-         let l = ilit_of_dimacs d in
-         let j = ref n in
-         while !j > 0 && buf.(!j - 1) > l do decr j done;
-         if !j > 0 && buf.(!j - 1) = l then n
-         else begin
-           Array.blit buf !j buf (!j + 1) (n - !j);
-           buf.(!j) <- l;
-           n + 1
-         end)
-      0 dimacs_lits
-  in
   let taut = ref false in
   for i = 0 to n - 2 do
     if buf.(i + 1) = buf.(i) lxor 1 then taut := true
@@ -216,22 +249,23 @@ let add_clause t dimacs_lits =
     let n = normalize t dimacs_lits in
     if n >= 0 then begin
       let buf = t.lits in
-      let fixed l = t.level.(ilit_var l) = 0 in
       (* Drop literals already false at level 0; if any literal is true
-         at level 0 the clause is satisfied. *)
+         at level 0 the clause is satisfied, and its buffer, compacted
+         in place on the way, is discarded. *)
       let satisfied = ref false in
+      let k = ref 0 in
       for i = 0 to n - 1 do
-        if lit_value t buf.(i) = 1 && fixed buf.(i) then satisfied := true
+        let l = buf.(i) in
+        let value = lit_value t l in
+        if value <> -1 && t.level.(ilit_var l) = 0 then begin
+          if value = 1 then satisfied := true
+        end
+        else begin
+          buf.(!k) <- l;
+          incr k
+        end
       done;
-      if not !satisfied then begin
-        let k = ref 0 in
-        for i = 0 to n - 1 do
-          let l = buf.(i) in
-          if not (lit_value t l = 0 && fixed l) then begin
-            buf.(!k) <- l;
-            incr k
-          end
-        done;
+      if not !satisfied then
         match !k with
         | 0 -> t.unsat <- true
         | 1 ->
@@ -240,8 +274,7 @@ let add_clause t dimacs_lits =
            | 1 -> ()
            | 0 -> t.unsat <- true
            | _ -> enqueue t l (-1))
-        | k -> ignore (add_clause_internal t (Array.sub buf 0 k))
-      end
+        | k -> ignore (add_clause_internal t buf k)
     end
   end
 
@@ -252,43 +285,45 @@ let add_clause t dimacs_lits =
    one, since the new watch is not false. *)
 let propagate t =
   let conflict = ref (-1) in
+  (* No clause is added during propagation, so the arena stays put. *)
+  let arena = t.arena in
   while !conflict = -1 && t.qhead < t.trail_len do
     let l = t.trail.(t.qhead) in
     t.qhead <- t.qhead + 1;
     t.propagations <- t.propagations + 1;
     let false_lit = ilit_neg l in
     (* Clauses watching false_lit must find a new watch. *)
-    let ws = t.watches.(false_lit) in
-    let data = ws.Ivec.data in
+    let data = t.wdata.(false_lit) in
     let j = ref 0 in
-    for i = 0 to ws.Ivec.len - 1 do
+    for i = 0 to t.wlen.(false_lit) - 1 do
       let cid = data.(i) in
       if !conflict <> -1 then begin
         data.(!j) <- cid;
         incr j
       end
       else begin
-        let c = t.clauses.(cid) in
-        (* Ensure c.(1) is the false literal. *)
-        if c.(0) = false_lit then begin
-          c.(0) <- c.(1);
-          c.(1) <- false_lit
+        let off = t.cstart.(cid) in
+        (* Ensure the clause's second literal is the false one. *)
+        if arena.(off) = false_lit then begin
+          arena.(off) <- arena.(off + 1);
+          arena.(off + 1) <- false_lit
         end;
-        if lit_value t c.(0) = 1 then begin
+        let first = arena.(off) in
+        if lit_value t first = 1 then begin
           data.(!j) <- cid;
           incr j
         end
         else begin
           (* Search for a non-false literal to watch. *)
-          let len = Array.length c in
+          let stop = off + t.clen.(cid) in
           let found = ref false in
-          let k = ref 2 in
-          while (not !found) && !k < len do
-            if lit_value t c.(!k) <> 0 then begin
-              let tmp = c.(1) in
-              c.(1) <- c.(!k);
-              c.(!k) <- tmp;
-              Ivec.push t.watches.(c.(1)) cid;
+          let k = ref (off + 2) in
+          while (not !found) && !k < stop do
+            let lk = arena.(!k) in
+            if lit_value t lk <> 0 then begin
+              arena.(!k) <- arena.(off + 1);
+              arena.(off + 1) <- lk;
+              watch t lk cid;
               found := true
             end;
             incr k
@@ -297,13 +332,15 @@ let propagate t =
             (* Unit or conflicting. *)
             data.(!j) <- cid;
             incr j;
-            if lit_value t c.(0) = 0 then conflict := cid
-            else if lit_value t c.(0) = -1 then enqueue t c.(0) cid
+            match lit_value t first with
+            | 0 -> conflict := cid
+            | -1 -> enqueue t first cid
+            | _ -> ()
           end
         end
       end
     done;
-    ws.Ivec.len <- !j
+    t.wlen.(false_lit) <- !j
   done;
   !conflict
 
@@ -327,10 +364,10 @@ let analyze t conflict =
   let btlevel = ref 0 in
   let continue = ref true in
   while !continue do
-    let c = t.clauses.(!cid) in
+    let off = t.cstart.(!cid) in
     let start = if !p = -1 then 0 else 1 in
-    for j = start to Array.length c - 1 do
-      let q = c.(j) in
+    for j = off + start to off + t.clen.(!cid) - 1 do
+      let q = t.arena.(j) in
       let v = ilit_var q in
       if (not t.seen.(v)) && t.level.(v) > 0 then begin
         t.seen.(v) <- true;
@@ -451,7 +488,7 @@ let solve ?(assumptions = []) ?(conflict_limit = max_int) ?deadline ?stop t =
             cancel_until t btlevel;
             if Array.length learned = 1 then enqueue t learned.(0) (-1)
             else begin
-              let cid = add_clause_internal t learned in
+              let cid = add_clause_internal t learned (Array.length learned) in
               enqueue t learned.(0) cid
             end;
             t.var_inc <- t.var_inc /. 0.95;
@@ -527,12 +564,13 @@ let stats_decisions t = t.decisions
 let stats_propagations t = t.propagations
 
 let clauses t =
-  List.init t.nclauses (fun i -> Array.map dimacs_of_ilit t.clauses.(i))
+  List.init t.nclauses (fun i ->
+      Array.init t.clen.(i) (fun j -> dimacs_of_ilit t.arena.(t.cstart.(i) + j)))
 
 let trail t = List.init t.trail_len (fun i -> dimacs_of_ilit t.trail.(i))
 
 let watch_list t l =
-  let ws = t.watches.(ilit_of_dimacs l) in
-  List.init ws.Ivec.len (fun i -> ws.Ivec.data.(i))
+  let l = ilit_of_dimacs l in
+  List.init t.wlen.(l) (fun i -> t.wdata.(l).(i))
 
 let is_unsat t = t.unsat

@@ -13,6 +13,13 @@ type t
 
 val create : unit -> t
 
+val reset : t -> unit
+(** Empty the instance: afterwards it cannot be told apart from
+    [create ()] — no variables, clauses, trail, learned state or
+    counters, and [new_var] numbers from 1 again.  Its storage is kept,
+    so an instance reset between queries stops allocating once it has
+    held the largest of them. *)
+
 val new_var : t -> int
 (** Allocate a fresh variable; returns its index (starting at 1). *)
 

@@ -396,8 +396,14 @@ let stage name timef record f =
 let retries = ref 0
 let set_retries n = retries := max 0 n
 
+(* Every scratch query runs on this one instance, reset first: queries
+   share its storage but no state, so a scratch answer is still a pure
+   function of the query while encoding stops allocating. *)
+let scratch_sat = Sat.create ()
+
 let solve_with_sat ?conflict_limit ?deadline ~attempt constraints vars =
-  let sat = Sat.create () in
+  let sat = scratch_sat in
+  Sat.reset sat;
   let stop () = !interrupt_check () in
   let blast =
     stage "bitblast"

@@ -95,8 +95,8 @@ val check :
 
     With [scope] (and incremental mode enabled, the default), slices
     that reach the SAT stage are solved on the scope's retained
-    instances under guard assumptions instead of a scratch
-    [Sat.create]; verdicts are identical either way — the caches and
+    instances under guard assumptions instead of the scratch
+    instance; verdicts are identical either way — the caches and
     the interval prescreen run identically in both modes. *)
 
 val check_pair :
@@ -156,8 +156,9 @@ val set_independence : bool -> unit
 val set_incremental : bool -> unit
 (** Enable or disable incremental scope solving (enabled by default).
     When disabled, [check] with a [scope] falls back to the scratch
-    bit-blast + fresh-[Sat.create] path; results are identical either
-    way, only cost differs.  Used by [--no-incremental]. *)
+    path, which bit-blasts onto a {!Sat.reset} instance; results are
+    identical either way, only cost differs.  Used by
+    [--no-incremental]. *)
 
 val incremental_enabled : unit -> bool
 (** Current incremental-mode setting. *)

@@ -294,6 +294,23 @@ let check_explain_sites () =
 
 (* ------------------------------------------------------------------ *)
 
+(* The profile footer counts queries, not stage records: a query leaves
+   one record per stage it reaches, so the two differ on any run that
+   bit-blasts. *)
+let check_profile_footer () =
+  let r = Verify.run_test (scenario ()) "t1" in
+  let e = r.Report.engine in
+  Alcotest.(check bool) "records and queries differ on this run" true
+    (Profile.total_count e.Engine.profile <> e.Engine.solver_queries);
+  let lines =
+    String.split_on_char '\n' (Format.asprintf "%a" (Report.pp_profile ~k:3) r)
+    |> List.filter (fun l -> l <> "")
+  in
+  Alcotest.(check string) "footer shows the report's query count"
+    (Printf.sprintf "total: %d queries, %.3fs solver time"
+       e.Engine.solver_queries (Profile.total_time e.Engine.profile))
+    (List.nth lines (List.length lines - 1))
+
 let suite =
   [ ("coverage: delta algebra and summaries", `Quick,
      check_coverage_algebra);
@@ -311,3 +328,4 @@ let suite =
          ( Printf.sprintf "coverage: 1 worker = 4 workers on %s" name,
            `Slow, check_coverage_equiv name ))
       tests
+  @ [ ("profile: footer counts queries", `Quick, check_profile_footer) ]

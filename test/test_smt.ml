@@ -1056,6 +1056,52 @@ let prop_add_clause_matches_reference =
             clauses
           && (Sat.solve s = Sat.Sat) = brute_force_sat nvars clauses))
 
+(* [Sat.reset] leaves nothing of the earlier script.  Script A runs and
+   is sometimes solved, perturbed as a retried scratch query is, under a
+   tiny conflict limit, so that [Resource_exhausted] strands decisions
+   on the trail (a [Sat] answer keeps its assignment too) and
+   activities and phases are dirty.  After the reset, script B must
+   leave the instance exactly where a fresh one that ran only B is,
+   before and after solving. *)
+let prop_reset_equals_fresh =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500
+       ~name:"sat: a reset instance equals a fresh one"
+       QCheck.(triple arb_clause_script (option (int_bound 2)) arb_clause_script)
+       (fun ((nvars_a, script_a), limit, (nvars_b, script_b)) ->
+          let run s nvars clauses =
+            for _ = 1 to nvars do
+              ignore (Sat.new_var s)
+            done;
+            List.iter (Sat.add_clause s) clauses
+          in
+          let state s =
+            ( Sat.clauses s,
+              Sat.trail s,
+              List.init nvars_b (fun i ->
+                  (Sat.watch_list s (i + 1), Sat.watch_list s (-(i + 1)))),
+              (Sat.stats_conflicts s, Sat.stats_decisions s,
+               Sat.stats_propagations s) )
+          in
+          let values s = List.init nvars_b (fun i -> Sat.value s (i + 1)) in
+          let reused = Sat.create () in
+          run reused nvars_a script_a;
+          Option.iter
+            (fun conflict_limit ->
+               Sat.perturb reused (Int64.of_int conflict_limit);
+               match Sat.solve ~conflict_limit reused with
+               | _ -> ()
+               | exception Sat.Resource_exhausted -> ())
+            limit;
+          Sat.reset reused;
+          run reused nvars_b script_b;
+          let fresh = Sat.create () in
+          run fresh nvars_b script_b;
+          state reused = state fresh
+          && Sat.solve reused = Sat.solve fresh
+          && state reused = state fresh
+          && values reused = values fresh))
+
 (* Watch-list order after search, pinned.  [propagate] rewrites each
    watch list it walks, and the order it leaves decides which clause
    the next propagation visits first — so it steers every later
@@ -1162,3 +1208,4 @@ let suite =
     ("sat: watch-list order pinned", `Quick, test_sat_watch_order_pinned);
   ]
   @ bv_props
+  @ [ prop_reset_equals_fresh ]

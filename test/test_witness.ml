@@ -18,7 +18,11 @@
 
    After an intended change to the models, regenerate with
      WITNESS_GOLDEN_OUT=$PWD/test/witness.golden \
-       dune exec test/test_main.exe -- test witness *)
+       dune exec test/test_main.exe -- test witness
+
+   A second case pins each cell's search counters.  Models from the
+   retained scopes (Solver.Scope) are never consumed, so no witness
+   line shows a change to their search; the counters do. *)
 
 module Engine = Symex.Engine
 module Error = Symex.Error
@@ -41,7 +45,8 @@ let picks pc =
     pc
 
 (* One session, reading each explored path's condition as the path
-   ends, however it ends. *)
+   ends, however it ends.  Returns the witness lines and the run's
+   solver counters. *)
 let run_cell ~label session test =
   Smt.Solver.clear_caches ();
   let paths = ref [] in
@@ -57,26 +62,28 @@ let run_cell ~label session test =
       raise e
   in
   let report = Engine.Session.run ~label session body in
-  List.map
-    (fun (e : Error.t) ->
-       Printf.sprintf "%s error %s %s path %d cex %s" label e.Error.site
-         (Error.kind_to_string e.Error.kind) e.Error.path_id
-         (String.concat " "
-            (List.map
-               (fun (name, v) -> name ^ "=" ^ Bv.to_string v)
-               e.Error.counterexample)))
-    report.Engine.errors
-  @ List.mapi
-      (fun i p -> String.concat " " (Printf.sprintf "%s path %d picks" label i :: p))
-      (List.rev !paths)
+  ( label,
+    report.Engine.solver_stats,
+    List.map
+      (fun (e : Error.t) ->
+         Printf.sprintf "%s error %s %s path %d cex %s" label e.Error.site
+           (Error.kind_to_string e.Error.kind) e.Error.path_id
+           (String.concat " "
+              (List.map
+                 (fun (name, v) -> name ^ "=" ^ Bv.to_string v)
+                 e.Error.counterexample)))
+      report.Engine.errors
+    @ List.mapi
+        (fun i p -> String.concat " " (Printf.sprintf "%s path %d picks" label i :: p))
+        (List.rev !paths) )
 
-let table1_lines () =
+let table1_cells () =
   let params =
     Tests.with_faults []
       (Tests.with_variant Plic.Config.Original
          (Tests.scaled_params ~num_sources:4 ~t5_max_len:16))
   in
-  List.concat_map
+  List.map
     (fun (name, test) ->
        run_cell ~label:name (Engine.Session.make ()) (test params))
     Tests.all
@@ -86,12 +93,12 @@ let cells =
   [ (Fault.IF1, "T1"); (Fault.IF2, "T1"); (Fault.IF4, "T1"); (Fault.IF5, "T1");
     (Fault.IF2, "T2"); (Fault.IF3, "T2"); (Fault.IF5, "T2"); (Fault.IF6, "T3") ]
 
-let table2_lines () =
+let table2_cells () =
   let base =
     Tests.with_variant Plic.Config.Fixed
       (Tests.scaled_params ~num_sources:24 ~t5_max_len:16)
   in
-  List.concat_map
+  List.map
     (fun (fault, name) ->
        let test = Option.get (Tests.by_name name) in
        run_cell
@@ -105,8 +112,11 @@ let read_lines path =
   |> String.split_on_char '\n'
   |> List.filter (fun l -> l <> "")
 
+(* Both cases read the same runs. *)
+let cells_run = lazy (table1_cells () @ table2_cells ())
+
 let test_witnesses () =
-  let got = table1_lines () @ table2_lines () in
+  let got = List.concat_map (fun (_, _, lines) -> lines) (Lazy.force cells_run) in
   match Sys.getenv_opt "WITNESS_GOLDEN_OUT" with
   | Some out ->
     Out_channel.with_open_text out (fun oc ->
@@ -127,4 +137,42 @@ let test_witnesses () =
     in
     first_diff 1 (got, golden)
 
-let suite = [ ("Table 1 and Table 2 witnesses match the golden", `Quick, test_witnesses) ]
+(* Per cell: sat_calls, sat_conflicts, sat_decisions, sat_propagations
+   and scope_reused.  Recorded with one heap array per clause and a
+   fresh scratch SAT instance per query; the flat clause arena and the
+   reused scratch instance repeat them exactly. *)
+let pinned_counters =
+  [ ("T1", (5, 7, 24, 6769, 9));
+    ("T2", (81, 211, 1491, 329896, 1297));
+    ("T3", (10, 26, 58, 9415, 20));
+    ("T4", (54, 54, 488, 208679, 299));
+    ("T5", (357, 755, 6965, 1663511, 3178));
+    ("IF1xT1", (0, 0, 0, 0, 0));
+    ("IF2xT1", (27, 55, 295, 47479, 130));
+    ("IF4xT1", (1, 0, 8, 1442, 0));
+    ("IF5xT1", (37, 101, 470, 73474, 225));
+    ("IF2xT2", (127, 331, 4142, 708835, 2351));
+    ("IF3xT2", (3, 26, 68, 14587, 18));
+    ("IF5xT2", (136, 350, 4442, 780814, 2592));
+    ("IF6xT3", (1, 1, 2, 544, 0)) ]
+
+let test_search_counters () =
+  let show (label, (calls, conflicts, decisions, propagations, reused)) =
+    Printf.sprintf
+      "%s calls %d conflicts %d decisions %d propagations %d reused %d" label
+      calls conflicts decisions propagations reused
+  in
+  let got =
+    List.map
+      (fun (label, (s : Smt.Solver.Stats.t), _) ->
+         ( label,
+           (s.sat_calls, s.sat_conflicts, s.sat_decisions, s.sat_propagations,
+            s.scope_reused) ))
+      (Lazy.force cells_run)
+  in
+  Alcotest.(check (list string)) "search counters per cell"
+    (List.map show pinned_counters) (List.map show got)
+
+let suite =
+  [ ("Table 1 and Table 2 witnesses match the golden", `Quick, test_witnesses);
+    ("Table 1 and Table 2 search counters pinned", `Quick, test_search_counters) ]
