@@ -37,8 +37,6 @@ let compare a b =
   let c = Int.compare a.w b.w in
   if c <> 0 then c else Int64.unsigned_compare a.v b.v
 
-let hash t = Hashtbl.hash (t.w, t.v)
-
 let same_width a b op =
   if a.w <> b.w then
     invalid_arg (Printf.sprintf "Bv.%s: width mismatch (%d vs %d)" op a.w b.w)

@@ -50,8 +50,6 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 (** Total order: by width, then by unsigned value. *)
 
-val hash : t -> int
-
 (* Arithmetic (wrapping, both operands must share a width, otherwise
    [Invalid_argument] is raised). *)
 

@@ -38,55 +38,124 @@ let width t =
 
 let is_bool t = t.sort = Bool
 
-(* Hash-consing: nodes are compared with children by physical equality,
-   which is sound because children are themselves hash-consed. *)
+(* Hash-consing.  Every bitvector constant and compound node lives in
+   one open-addressing table: power-of-two capacity, linear probing,
+   grown at half load, never shrunk (terms are never freed).  A node's
+   key is a tag and three integer fields, children by id; ids identify
+   children exactly because children are themselves hash-consed.  The
+   smart constructors probe with the key before building a node, so a
+   hit allocates nothing.  Booleans and variables never enter the table:
+   [tru] and [fls] are built once and every variable is fresh.  Ids
+   follow first-construction order, which [commute] relies on. *)
 
-module Node_key = struct
-  type nonrec t = node
+let binop_code = function
+  | Add -> 0 | Sub -> 1 | Mul -> 2 | Udiv -> 3 | Urem -> 4 | Sdiv -> 5
+  | Srem -> 6 | And -> 7 | Or -> 8 | Xor -> 9 | Shl -> 10 | Lshr -> 11
+  | Ashr -> 12
 
-  let child_id t = t.id
+let cmpop_code = function Eq -> 0 | Ult -> 1 | Ule -> 2 | Slt -> 3 | Sle -> 4
 
-  let equal a b =
-    match a, b with
-    | Bool_const x, Bool_const y -> x = y
-    | Bv_const x, Bv_const y -> Bv.equal x y
-    | Var x, Var y -> x.var_id = y.var_id
-    | Not x, Not y -> x == y
-    | Andb (a1, a2), Andb (b1, b2) | Orb (a1, a2), Orb (b1, b2)
-    | Concat (a1, a2), Concat (b1, b2) ->
-      a1 == b1 && a2 == b2
-    | Cmp (o1, a1, a2), Cmp (o2, b1, b2) -> o1 = o2 && a1 == b1 && a2 == b2
-    | Ite (c1, a1, a2), Ite (c2, b1, b2) -> c1 == c2 && a1 == b1 && a2 == b2
-    | Bnot x, Bnot y -> x == y
-    | Bin (o1, a1, a2), Bin (o2, b1, b2) -> o1 = o2 && a1 == b1 && a2 == b2
-    | Extract (h1, l1, x), Extract (h2, l2, y) -> h1 = h2 && l1 = l2 && x == y
-    | Zext (w1, x), Zext (w2, y) | Sext (w1, x), Sext (w2, y) ->
-      w1 = w2 && x == y
-    | ( Bool_const _ | Bv_const _ | Var _ | Not _ | Andb _ | Orb _ | Cmp _
-      | Ite _ | Bnot _ | Bin _ | Extract _ | Concat _ | Zext _ | Sext _ ), _ ->
-      false
+(* A multiply-add mix alone maps consecutive child ids to consecutive
+   slots, and linear probing then walks long clusters; the final
+   avalanche (murmur3's finalizer, constants cut to 63 bits) spreads
+   every input bit over the slot index. *)
+let[@inline] key_hash tag a b c =
+  let m = 0x100000001b3 in
+  let h = ((((((tag * m) + a) * m) + b) * m) + c) in
+  let h = (h lxor (h lsr 33)) * 0x3f51afd7ed558ccd in
+  let h = (h lxor (h lsr 33)) * 0x04ceb9fe1a85ec53 in
+  h lxor (h lsr 33)
 
-  let hash = function
-    | Bool_const b -> Hashtbl.hash (0, b)
-    | Bv_const v -> Hashtbl.hash (1, Bv.hash v)
-    | Var v -> Hashtbl.hash (2, v.var_id)
-    | Not x -> Hashtbl.hash (3, child_id x)
-    | Andb (a, b) -> Hashtbl.hash (4, child_id a, child_id b)
-    | Orb (a, b) -> Hashtbl.hash (5, child_id a, child_id b)
-    | Cmp (o, a, b) -> Hashtbl.hash (6, o, child_id a, child_id b)
-    | Ite (c, a, b) -> Hashtbl.hash (7, child_id c, child_id a, child_id b)
-    | Bnot x -> Hashtbl.hash (8, child_id x)
-    | Bin (o, a, b) -> Hashtbl.hash (9, o, child_id a, child_id b)
-    | Extract (hi, lo, x) -> Hashtbl.hash (10, hi, lo, child_id x)
-    | Concat (a, b) -> Hashtbl.hash (11, child_id a, child_id b)
-    | Zext (w, x) -> Hashtbl.hash (12, w, child_id x)
-    | Sext (w, x) -> Hashtbl.hash (13, w, child_id x)
-end
+(* A constant's key holds its width and all 64 value bits: the low 63
+   as an int, bit 63 on its own. *)
+let[@inline] low_bits v = Int64.to_int v
+let[@inline] top_bit v = Int64.to_int (Int64.shift_right_logical v 63)
 
-module Table = Hashtbl.Make (Node_key)
+let[@inline] key_matches node tag a b c =
+  match node with
+  | Bv_const v ->
+    let x = Bv.to_int64 v in
+    tag = 1 && a = Bv.width v && b = low_bits x && c = top_bit x
+  | Not x -> tag = 2 && a = x.id
+  | Andb (x, y) -> tag = 3 && a = x.id && b = y.id
+  | Orb (x, y) -> tag = 4 && a = x.id && b = y.id
+  | Cmp (op, x, y) -> tag = 5 && a = cmpop_code op && b = x.id && c = y.id
+  | Ite (x, y, z) -> tag = 6 && a = x.id && b = y.id && c = z.id
+  | Bnot x -> tag = 7 && a = x.id
+  | Bin (op, x, y) -> tag = 8 && a = binop_code op && b = x.id && c = y.id
+  | Extract (hi, lo, x) -> tag = 9 && a = hi && b = lo && c = x.id
+  | Concat (x, y) -> tag = 10 && a = x.id && b = y.id
+  | Zext (w, x) -> tag = 11 && a = w && b = x.id
+  | Sext (w, x) -> tag = 12 && a = w && b = x.id
+  | Bool_const _ | Var _ -> false
 
-let table : t Table.t = Table.create 65_536
+let node_hash = function
+  | Bv_const v ->
+    let x = Bv.to_int64 v in
+    key_hash 1 (Bv.width v) (low_bits x) (top_bit x)
+  | Not x -> key_hash 2 x.id 0 0
+  | Andb (x, y) -> key_hash 3 x.id y.id 0
+  | Orb (x, y) -> key_hash 4 x.id y.id 0
+  | Cmp (op, x, y) -> key_hash 5 (cmpop_code op) x.id y.id
+  | Ite (x, y, z) -> key_hash 6 x.id y.id z.id
+  | Bnot x -> key_hash 7 x.id 0 0
+  | Bin (op, x, y) -> key_hash 8 (binop_code op) x.id y.id
+  | Extract (hi, lo, x) -> key_hash 9 hi lo x.id
+  | Concat (x, y) -> key_hash 10 x.id y.id 0
+  | Zext (w, x) -> key_hash 11 w x.id 0
+  | Sext (w, x) -> key_hash 12 w x.id 0
+  | Bool_const _ | Var _ -> invalid_arg "Expr.node_hash: not hash-consed"
+
 let next_id = ref 0
+
+let fresh sort node =
+  let t = { id = !next_id; sort; node } in
+  incr next_id;
+  t
+
+(* The empty-slot marker; never returned by a constructor. *)
+let vacant = { id = -1; sort = Bool; node = Bool_const false }
+let slots = ref (Array.make 65_536 vacant)
+let occupied = ref 0
+
+(* Where the last missed [probe] stopped; [insert] fills it. *)
+let hole = ref 0
+
+let rec probe_from s i tag a b c =
+  let t = s.(i) in
+  if t == vacant then begin
+    hole := i;
+    vacant
+  end
+  else if key_matches t.node tag a b c then t
+  else probe_from s ((i + 1) land (Array.length s - 1)) tag a b c
+
+(* The resident term with this key, or [vacant]. *)
+let[@inline] probe tag a b c =
+  let s = !slots in
+  probe_from s (key_hash tag a b c land (Array.length s - 1)) tag a b c
+
+let grow () =
+  let s = Array.make (2 * Array.length !slots) vacant in
+  let mask = Array.length s - 1 in
+  Array.iter
+    (fun t ->
+       if t != vacant then begin
+         let i = ref (node_hash t.node land mask) in
+         while s.(!i) != vacant do i := (!i + 1) land mask done;
+         s.(!i) <- t
+       end)
+    !slots;
+  slots := s
+
+(* Only valid right after a [probe] that returned [vacant]. *)
+let insert sort node =
+  let t = fresh sort node in
+  !slots.(!hole) <- t;
+  incr occupied;
+  if 2 * !occupied > Array.length !slots then grow ();
+  t
+
 let instructions = ref 0
 
 let instruction_count () = !instructions
@@ -107,19 +176,15 @@ let without_counting f =
     Fun.protect ~finally:(fun () -> counting := true) f
   end
 
-let mk sort node =
-  match Table.find_opt table node with
-  | Some t -> t
-  | None ->
-    let t = { id = !next_id; sort; node } in
-    incr next_id;
-    Table.add table node t;
-    t
-
-let tru = mk Bool (Bool_const true)
-let fls = mk Bool (Bool_const false)
+let tru = fresh Bool (Bool_const true)
+let fls = fresh Bool (Bool_const false)
 let bool b = if b then tru else fls
-let const v = mk (Bv (Bv.width v)) (Bv_const v)
+
+let const v =
+  let w = Bv.width v and x = Bv.to_int64 v in
+  let t = probe 1 w (low_bits x) (top_bit x) in
+  if t != vacant then t else insert (Bv w) (Bv_const v)
+
 let int ~width v = const (Bv.of_int ~width v)
 
 let next_var_id = ref 0
@@ -127,7 +192,54 @@ let next_var_id = ref 0
 let fresh_var name w =
   let v = { var_name = name; var_id = !next_var_id; var_width = w } in
   incr next_var_id;
-  mk (Bv w) (Var v)
+  fresh (Bv w) (Var v)
+
+(* One hash-consing constructor per node shape; each probes before it
+   builds the node. *)
+
+let mk_not x =
+  let t = probe 2 x.id 0 0 in
+  if t != vacant then t else insert Bool (Not x)
+
+let mk_andb x y =
+  let t = probe 3 x.id y.id 0 in
+  if t != vacant then t else insert Bool (Andb (x, y))
+
+let mk_orb x y =
+  let t = probe 4 x.id y.id 0 in
+  if t != vacant then t else insert Bool (Orb (x, y))
+
+let mk_cmp_node op x y =
+  let t = probe 5 (cmpop_code op) x.id y.id in
+  if t != vacant then t else insert Bool (Cmp (op, x, y))
+
+let mk_ite c x y =
+  let t = probe 6 c.id x.id y.id in
+  if t != vacant then t else insert x.sort (Ite (c, x, y))
+
+let mk_bnot x =
+  let t = probe 7 x.id 0 0 in
+  if t != vacant then t else insert x.sort (Bnot x)
+
+let mk_bin op x y =
+  let t = probe 8 (binop_code op) x.id y.id in
+  if t != vacant then t else insert x.sort (Bin (op, x, y))
+
+let mk_extract hi lo x =
+  let t = probe 9 hi lo x.id in
+  if t != vacant then t else insert (Bv (hi - lo + 1)) (Extract (hi, lo, x))
+
+let mk_concat x y =
+  let t = probe 10 x.id y.id 0 in
+  if t != vacant then t else insert (Bv (width x + width y)) (Concat (x, y))
+
+let mk_zext w x =
+  let t = probe 11 w x.id 0 in
+  if t != vacant then t else insert (Bv w) (Zext (w, x))
+
+let mk_sext w x =
+  let t = probe 12 w x.id 0 in
+  if t != vacant then t else insert (Bv w) (Sext (w, x))
 
 let to_bool t =
   match t.node with Bool_const b -> Some b | _ -> None
@@ -160,7 +272,7 @@ let rec not_ t =
   | Cmp (Sle, a, b) -> mk_cmp Slt b a
   | Bv_const _ | Var _ | Andb _ | Orb _ | Cmp (Eq, _, _)
   | Ite _ | Bnot _ | Bin _ | Extract _ | Concat _ | Zext _ | Sext _ ->
-    mk Bool (Not t)
+    mk_not t
 
 and mk_cmp op a b =
   (* Internal: builds a comparison without instruction accounting;
@@ -185,7 +297,7 @@ and mk_cmp op a b =
       match op with
       | Eq ->
         let a, b = commute a b in
-        mk Bool (Cmp (Eq, a, b))
+        mk_cmp_node Eq a b
       | Ult ->
         (* x < 0 is false; x < 1 is x = 0; ones < x is false; x < ones
            simplifications kept minimal. *)
@@ -196,8 +308,8 @@ and mk_cmp op a b =
             | Bv_const v when Bv.is_ones v -> fls
             | Bv_const v when Bv.is_zero v ->
               (* 0 < b  <=>  b <> 0 *)
-              mk Bool (Not (mk_cmp Eq b (const (Bv.zero (width b)))))
-            | _ -> mk Bool (Cmp (Ult, a, b))))
+              mk_not (mk_cmp Eq b (const (Bv.zero (width b))))
+            | _ -> mk_cmp_node Ult a b))
       | Ule ->
         (match a.node with
          | Bv_const v when Bv.is_zero v -> tru
@@ -206,9 +318,9 @@ and mk_cmp op a b =
             | Bv_const v when Bv.is_ones v -> tru
             | Bv_const v when Bv.is_zero v ->
               mk_cmp Eq a (const (Bv.zero (width a)))
-            | _ -> mk Bool (Cmp (Ule, a, b))))
-      | Slt -> mk Bool (Cmp (Slt, a, b))
-      | Sle -> mk Bool (Cmp (Sle, a, b))
+            | _ -> mk_cmp_node Ule a b))
+      | Slt -> mk_cmp_node Slt a b
+      | Sle -> mk_cmp_node Sle a b
 
 let check_same_width name a b =
   match a.sort, b.sort with
@@ -227,7 +339,7 @@ let and_ a b =
     else if (match b.node with Not x -> x == a | _ -> false) then fls
     else
       let a, b = commute a b in
-      mk Bool (Andb (a, b))
+      mk_andb a b
 
 let or_ a b =
   count ();
@@ -241,7 +353,7 @@ let or_ a b =
     else if (match b.node with Not x -> x == a | _ -> false) then tru
     else
       let a, b = commute a b in
-      mk Bool (Orb (a, b))
+      mk_orb a b
 
 let implies a b = or_ (not_ a) b
 let conj l = List.fold_left and_ tru l
@@ -284,7 +396,7 @@ let ite c a b =
       match a.node, b.node with
       | Bool_const true, Bool_const false -> c
       | Bool_const false, Bool_const true -> not_ c
-      | _ -> mk a.sort (Ite (c, a, b))
+      | _ -> mk_ite c a b
 
 let bin_fold op x y =
   match op with
@@ -301,8 +413,6 @@ let bin_fold op x y =
   | Shl -> Bv.shl x y
   | Lshr -> Bv.lshr x y
   | Ashr -> Bv.ashr x y
-
-let mk_bin op a b = mk a.sort (Bin (op, a, b))
 
 let add a b =
   count ();
@@ -408,7 +518,7 @@ let bnot a =
   match a.node with
   | Bv_const x -> const (Bv.lognot x)
   | Bnot x -> x
-  | _ -> mk a.sort (Bnot a)
+  | _ -> mk_bnot a
 
 let shift name op a b =
   count ();
@@ -441,7 +551,7 @@ let rec extract ~hi ~lo t =
     | Concat (_, l) when hi < width l -> extract ~hi ~lo l
     | Concat (h, l) when lo >= width l ->
       extract ~hi:(hi - width l) ~lo:(lo - width l) h
-    | _ -> mk (Bv (hi - lo + 1)) (Extract (hi, lo, t))
+    | _ -> mk_extract hi lo t
 
 let concat a b =
   count ();
@@ -449,8 +559,8 @@ let concat a b =
   if wa + wb > 64 then invalid_arg "Expr.concat: combined width exceeds 64";
   match a.node, b.node with
   | Bv_const x, Bv_const y -> const (Bv.concat x y)
-  | Bv_const x, _ when Bv.is_zero x -> mk (Bv (wa + wb)) (Zext (wa + wb, b))
-  | _ -> mk (Bv (wa + wb)) (Concat (a, b))
+  | Bv_const x, _ when Bv.is_zero x -> mk_zext (wa + wb) b
+  | _ -> mk_concat a b
 
 let zext target t =
   count ();
@@ -460,8 +570,8 @@ let zext target t =
   else
     match t.node with
     | Bv_const v -> const (Bv.zext (target - w) v)
-    | Zext (_, x) -> mk (Bv target) (Zext (target, x))
-    | _ -> mk (Bv target) (Zext (target, t))
+    | Zext (_, x) -> mk_zext target x
+    | _ -> mk_zext target t
 
 let sext target t =
   count ();
@@ -471,7 +581,7 @@ let sext target t =
   else
     match t.node with
     | Bv_const v -> const (Bv.sext (target - w) v)
-    | _ -> mk (Bv target) (Sext (target, t))
+    | _ -> mk_sext target t
 
 let vars t =
   let seen = Hashtbl.create 64 in

@@ -6,9 +6,19 @@
     they fold constants and apply a set of sound local rewrites, so the
     term returned may be structurally smaller than requested.
 
-    A global instruction counter is incremented on every constructor
-    call; the symbolic-execution engine reads it to report the
-    "#Exec. Instr." statistic of the paper. *)
+    A term's [id] is assigned when the term is first constructed, so
+    ids follow first-construction order and a term's id exceeds its
+    children's.  Commutative operations order their operands by id, so
+    the bit-blasted CNF of a query depends on that order.
+
+    A global instruction counter, which the symbolic-execution engine
+    reads to report the "#Exec. Instr." statistic of the paper, counts
+    one instruction per call of a connective, comparison or bitvector
+    operation below, whether or not the call folds or finds an existing
+    term; derived operations count each operation they call (as [ne]
+    counts [eq] and [not_]).  The leaves [bool], [const], [int] and
+    [fresh_var] never count, and nothing counts inside
+    {!without_counting}. *)
 
 type sort = Bool | Bv of int
 
@@ -56,7 +66,8 @@ val is_bool : t -> bool
 (* Instruction accounting. *)
 
 val instruction_count : unit -> int
-(** Number of smart-constructor invocations since [reset_instruction_count]. *)
+(** Instructions counted since [reset_instruction_count]: constructor
+    calls as described above, plus {!add_instructions}. *)
 
 val reset_instruction_count : unit -> unit
 val add_instructions : int -> unit

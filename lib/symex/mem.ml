@@ -9,16 +9,29 @@ type t = {
   mem_name : string;
   mutable data : Expr.t array;
   mutable shared : bool;
+  read_check : (string * string) Lazy.t;
+  write_check : (string * string) Lazy.t;
 }
 
 type state = Expr.t array
 
 let byte_zero = lazy (Expr.int ~width:8 0)
 
+(* The default site and the message of a bounds check on [what], kept
+   per memory so that a checked access formats nothing.  Lazy, because
+   memories are built inside timed loops (seven per PLIC) and many are
+   only read, only written or never accessed through the checked API. *)
+let check_text name size what =
+  lazy
+    ( Printf.sprintf "mem:%s:%s" name what,
+      Printf.sprintf "%s access exceeds %s (%d bytes)" what name size )
+
 let create ~name ~size =
   { mem_name = name;
     data = Array.make size (Lazy.force byte_zero);
-    shared = false }
+    shared = false;
+    read_check = check_text name size "read";
+    write_check = check_text name size "write" }
 
 let name t = t.mem_name
 let size t = Array.length t.data
@@ -91,16 +104,10 @@ let in_bounds t ~offset ~len =
   let off64 = Expr.zext 64 offset and len64 = Expr.zext 64 len in
   Expr.ule (Expr.add off64 len64) (Expr.int ~width:64 (size t))
 
-let bounds_check ?site t ~offset ~len ~what =
-  let site =
-    match site with
-    | Some s -> s
-    | None -> Printf.sprintf "mem:%s:%s" t.mem_name what
-  in
-  Engine.check_kind Error.Out_of_bounds ~site
-    ~message:
-      (Printf.sprintf "%s access exceeds %s (%d bytes)" what t.mem_name (size t))
-    (in_bounds t ~offset ~len)
+let bounds_check ?site t ~offset ~len text =
+  let default_site, message = Lazy.force text in
+  let site = Option.value site ~default:default_site in
+  Engine.check_kind Error.Out_of_bounds ~site ~message (in_bounds t ~offset ~len)
 
 let concretize_range ~offset ~len =
   let off = Bv.to_int (Engine.concretize offset) in
@@ -108,12 +115,12 @@ let concretize_range ~offset ~len =
   (off, n)
 
 let read_bytes ?site t ~offset ~len =
-  bounds_check ?site t ~offset ~len ~what:"read";
+  bounds_check ?site t ~offset ~len t.read_check;
   let off, n = concretize_range ~offset ~len in
   Array.init n (fun i -> read_byte t (off + i))
 
 let write_bytes ?site t ~offset ~len data =
-  bounds_check ?site t ~offset ~len ~what:"write";
+  bounds_check ?site t ~offset ~len t.write_check;
   let off, n = concretize_range ~offset ~len in
   if n > Array.length data then
     Engine.report_error Error.Out_of_bounds

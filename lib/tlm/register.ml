@@ -16,6 +16,10 @@ type range = {
   backing : Mem.t;
   pre_read : (unit -> unit) option;
   post_write : (unit -> unit) option;
+  match_site : string;
+  burst_site : string;
+  read_denied : string;
+  write_denied : string;
 }
 
 type t = {
@@ -39,6 +43,11 @@ let overlaps a b =
    contents without re-executing the transports that produced them. *)
 type Engine.component_state += Mem_state of Mem.state
 
+(* F4's assertion message for a [cmd] the range does not allow. *)
+let denied cmd name =
+  Printf.sprintf "%s of %s not registered for this access type"
+    (Payload.command_to_string cmd) name
+
 let add_range t ~name ~base ~access ?pre_read ?post_write backing =
   let range =
     {
@@ -49,6 +58,10 @@ let add_range t ~name ~base ~access ?pre_read ?post_write backing =
       backing;
       pre_read;
       post_write;
+      match_site = "reg:match:" ^ name;
+      burst_site = "reg:burst:" ^ name;
+      read_denied = denied Payload.Read name;
+      write_denied = denied Payload.Write name;
     }
   in
   (match List.find_opt (overlaps range) t.rev_ranges with
@@ -56,6 +69,8 @@ let add_range t ~name ~base ~access ?pre_read ?post_write backing =
      invalid_arg
        (Printf.sprintf "Register.add_range: %s overlaps %s" name other.rg_name)
    | None -> ());
+  if List.exists (fun r -> r.rg_name = name) t.rev_ranges then
+    invalid_arg ("Register.add_range: duplicate name " ^ name);
   t.rev_ranges <- range :: t.rev_ranges;
   Engine.register_component
     ~save:(fun () -> Mem_state (Mem.save backing))
@@ -103,10 +118,12 @@ let serve t (p : Payload.t) r =
   (* F4: access-type check. *)
   (match t.rf_policy with
    | Original ->
-     Engine.fatal_check ~site:"reg:access"
-       ~message:
-         (Printf.sprintf "%s of %s not registered for this access type"
-            (Payload.command_to_string p.Payload.cmd) r.rg_name)
+     let message =
+       match p.Payload.cmd with
+       | Payload.Read -> r.read_denied
+       | Payload.Write -> r.write_denied
+     in
+     Engine.fatal_check ~site:"reg:access" ~message
        (Expr.bool (allowed p.Payload.cmd r.access))
    | Fixed ->
      if not (allowed p.Payload.cmd r.access) then begin
@@ -182,7 +199,7 @@ let transport_body t (p : Payload.t) =
             raise Done)
        | r :: rest ->
          let matches = range_match t.rf_policy r ~addr:p.Payload.addr ~len:p.Payload.len in
-         if Value.truth ~site:("reg:match:" ^ r.rg_name) matches then serve t p r
+         if Value.truth ~site:r.match_site matches then serve t p r
          else begin
            (* Under the fixed policy, distinguish a boundary crossing
               (burst error) from a plain unmapped address. *)
@@ -191,7 +208,7 @@ let transport_body t (p : Payload.t) =
               let starts_inside =
                 range_match Original r ~addr:p.Payload.addr ~len:p.Payload.len
               in
-              if Value.truth ~site:("reg:burst:" ^ r.rg_name) starts_inside
+              if Value.truth ~site:r.burst_site starts_inside
               then begin
                 p.Payload.response <- Payload.Burst_error;
                 raise Done

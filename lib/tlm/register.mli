@@ -38,6 +38,10 @@ type range = {
   post_write : (unit -> unit) option;
       (** runs after the data copy of a write (e.g. interrupt
           completion); inspects the backing memory for the new value *)
+  match_site : string;     (** ["reg:match:<name>"], the dispatch branch *)
+  burst_site : string;     (** ["reg:burst:<name>"], the fixed burst check *)
+  read_denied : string;    (** F4 message for a read of this range *)
+  write_denied : string;   (** F4 message for a write of this range *)
 }
 
 type t
@@ -58,7 +62,11 @@ val add_range :
   Symex.Mem.t ->
   range
 (** Register a range backed by the given memory (its size defines the
-    range size).  Ranges must not overlap; checked at registration. *)
+    range size).  Ranges must not overlap and names must be distinct
+    (a name keys the range's coverage row and its branch sites);
+    both are checked at registration.  The range's sites and F4
+    messages are formatted here, once, so dispatch formats no string
+    per access. *)
 
 val find_range : t -> string -> range
 (** Lookup by name; raises [Not_found]. *)

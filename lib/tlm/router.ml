@@ -24,6 +24,10 @@ let add_target t ~name ~base ~size fn =
        (Printf.sprintf "Router.add_target: %s overlaps %s (router %s)" name
           other.tg_name t.rt_name)
    | None -> ());
+  if List.exists (fun tg -> tg.tg_name = name) t.rev_targets then
+    invalid_arg
+      (Printf.sprintf "Router.add_target: duplicate name %s (router %s)" name
+         t.rt_name);
   t.rev_targets <- target :: t.rev_targets
 
 let targets t =

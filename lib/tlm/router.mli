@@ -15,7 +15,8 @@ val create : ?latency:Pk.Sc_time.t -> name:string -> unit -> t
 
 val add_target :
   t -> name:string -> base:int -> size:int -> transport_fn -> unit
-(** Map [base, base+size) to a target.  Overlaps are rejected. *)
+(** Map [base, base+size) to a target.  Overlaps and duplicate names
+    (a name is the target's [router:] branch site) are rejected. *)
 
 val transport : t -> transport_fn
 (** Route a transaction: the matching target receives a payload whose

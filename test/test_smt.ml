@@ -232,6 +232,163 @@ let test_simplifier_soundness () =
         (Expr.to_string term) (Bv.to_string expected) (Bv.to_string actual)
   done
 
+(* Hash-consing across table growth.  Random scripts over one fresh
+   width-40 variable and width-40 constants run after [prefill] has
+   added 100,000 distinct constants, which doubles the table (65,536
+   slots, grown at half load) at least twice, so lookups cross rehashed
+   entries. *)
+
+type hc_step =
+  | Var_leaf
+  | Const_leaf of int
+  | Add of int * int
+  | Xor of int * int
+  | Slice of int * int * int  (** [zext 40 (extract ~hi ~lo operand)] *)
+  | Ite of int * int * int  (** [ite (ult a b) b c] *)
+  | Not of int
+
+let hc_width = 40
+
+(* A fresh variable takes the next id without entering the table, so
+   its id marks how many ids were handed out before it. *)
+let next_id () = (Expr.fresh_var "mark" 1).Expr.id
+
+(* The constants 0..99,999, and whether those it built have ids in
+   construction order. *)
+let prefill =
+  lazy
+    (let start = next_id () in
+     let consts = Array.init 100_000 (fun v -> Expr.int ~width:hc_width v) in
+     let last = ref start and ordered = ref true in
+     Array.iter
+       (fun t ->
+          if t.Expr.id > start then begin
+            ordered := !ordered && t.Expr.id > !last;
+            last := t.Expr.id
+          end)
+       consts;
+     (consts, !ordered))
+
+let string_of_hc_step = function
+  | Var_leaf -> "x"
+  | Const_leaf v -> string_of_int v
+  | Add (a, b) -> Printf.sprintf "add %d %d" a b
+  | Xor (a, b) -> Printf.sprintf "xor %d %d" a b
+  | Slice (a, hi, lo) -> Printf.sprintf "slice %d %d %d" a hi lo
+  | Ite (a, b, c) -> Printf.sprintf "ite %d %d %d" a b c
+  | Not a -> Printf.sprintf "not %d" a
+
+let arb_hc_script =
+  let open QCheck in
+  let idx = Gen.int_bound 63 and bit = Gen.int_bound (hc_width - 1) in
+  let wide =
+    Gen.map2 (fun hi lo -> (hi lsl 20) lor lo) (Gen.int_bound 0xFFFFF)
+      (Gen.int_bound 0xFFFFF)
+  in
+  let step =
+    Gen.frequency
+      [ (1, Gen.return Var_leaf);
+        (3, Gen.map (fun v -> Const_leaf v) (Gen.int_bound 150_000));
+        (1, Gen.map (fun v -> Const_leaf v) wide);
+        (2, Gen.map2 (fun a b -> Add (a, b)) idx idx);
+        (2, Gen.map2 (fun a b -> Xor (a, b)) idx idx);
+        (2, Gen.map3 (fun a hi lo -> Slice (a, hi, lo)) idx bit bit);
+        (1, Gen.map3 (fun a b c -> Ite (a, b, c)) idx idx idx);
+        (1, Gen.map (fun a -> Not a) idx) ]
+  in
+  make
+    ~print:(fun steps -> String.concat "; " (List.map string_of_hc_step steps))
+    Gen.(list_size (int_range 1 30) step)
+
+(* Term [i + 1] is step [i]'s, whose operands are among the terms
+   before it; term 0 is [x].  [after i] runs after step [i]. *)
+let run_hc_script ?(after = ignore) x steps =
+  let r = Array.make (List.length steps + 1) x in
+  List.iteri
+    (fun i step ->
+       let arg j = r.(j mod (i + 1)) in
+       r.(i + 1) <-
+         (match step with
+          | Var_leaf -> x
+          | Const_leaf v -> Expr.int ~width:hc_width v
+          | Add (a, b) -> Expr.add (arg a) (arg b)
+          | Xor (a, b) -> Expr.bxor (arg a) (arg b)
+          | Slice (a, hi, lo) ->
+            Expr.zext hc_width
+              (Expr.extract ~hi:(max hi lo) ~lo:(min hi lo) (arg a))
+          | Ite (a, b, c) -> Expr.ite (Expr.ult (arg a) (arg b)) (arg b) (arg c)
+          | Not a -> Expr.bnot (arg a));
+       after i)
+    steps;
+  r
+
+let rec bit_length v = if v = 0 then 0 else 1 + bit_length (v lsr 1)
+
+(* Every way of reaching the width-40 constant [v]: directly, from a
+   fresh [Bv.t], and by folding through add, extract and zext. *)
+let constant_routes v =
+  let w = hc_width and consts, _ = Lazy.force prefill in
+  [ Expr.int ~width:w v;
+    Expr.const (Bv.of_int ~width:w v);
+    Expr.add (Expr.int ~width:w (v / 3)) (Expr.int ~width:w (v - (v / 3)));
+    Expr.extract ~hi:(w - 1) ~lo:0 (Expr.int ~width:(w + 8) (v lor (0xA5 lsl w)));
+    Expr.zext w (Expr.int ~width:(max 1 (bit_length v)) v) ]
+  @ if v < Array.length consts then [ consts.(v) ] else []
+
+let children t =
+  match t.Expr.node with
+  | Expr.Bool_const _ | Expr.Bv_const _ | Expr.Var _ -> []
+  | Expr.Not x | Expr.Bnot x | Expr.Extract (_, _, x) | Expr.Zext (_, x)
+  | Expr.Sext (_, x) ->
+    [ x ]
+  | Expr.Andb (a, b) | Expr.Orb (a, b) | Expr.Cmp (_, a, b)
+  | Expr.Bin (_, a, b) | Expr.Concat (a, b) ->
+    [ a; b ]
+  | Expr.Ite (c, a, b) -> [ c; a; b ]
+
+(* A term's id exceeds its children's, all the way down. *)
+let rec built_after_children t =
+  List.for_all
+    (fun c -> c.Expr.id < t.Expr.id && built_after_children c)
+    (children t)
+
+let prop_hash_consing_contract =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200
+       ~name:"expr: hash-consing contract across table growth" arb_hc_script
+       (fun steps ->
+          let _, prefill_ordered = Lazy.force prefill in
+          let x = Expr.fresh_var "x" hc_width in
+          let marks = Array.make (List.length steps) 0 in
+          let first =
+            run_hc_script ~after:(fun i -> marks.(i) <- next_id ()) x steps
+          in
+          (* Ids follow construction order: a step's term was built
+             before the mark taken after the step, and after its
+             children. *)
+          let ordered =
+            List.for_all
+              (fun i ->
+                 let t = first.(i + 1) in
+                 t.Expr.id < marks.(i) && built_after_children t)
+              (List.init (List.length steps) Fun.id)
+          in
+          (* Rebuilding finds every term: equal results, no new id. *)
+          let mark = next_id () in
+          let again = run_hc_script x steps in
+          let nothing_new = next_id () = mark + 1 in
+          let routes_agree =
+            Array.for_all
+              (fun t ->
+                 match Expr.to_bv t with
+                 | None -> true
+                 | Some v ->
+                   List.for_all (fun u -> u == t) (constant_routes (Bv.to_int v)))
+              first
+          in
+          prefill_ordered && ordered && Array.for_all2 ( == ) first again
+          && nothing_new && routes_agree))
+
 (* ------------------------------------------------------------------ *)
 (* Interval                                                            *)
 
@@ -1208,4 +1365,4 @@ let suite =
     ("sat: watch-list order pinned", `Quick, test_sat_watch_order_pinned);
   ]
   @ bv_props
-  @ [ prop_reset_equals_fresh ]
+  @ [ prop_reset_equals_fresh; prop_hash_consing_contract ]

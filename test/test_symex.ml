@@ -248,35 +248,51 @@ let test_mem_concrete_rw () =
   | Some v -> Alcotest.(check int64) "LSB first" 0xEFL (Bv.to_int64 v)
   | None -> Alcotest.fail "expected concrete"
 
-let test_mem_oob_detected () =
-  let r =
-    run (fun () ->
-        let m = Mem.create ~name:"buf" ~size:4 in
-        let len = Engine.fresh32 "len" in
-        Engine.assume
-          (Expr.and_ (Expr.uge len (e_int 1)) (Expr.ule len (e_int 8)));
-        ignore (Mem.read_bytes m ~offset:(e_int 0) ~len))
-  in
-  let oob =
+(* Access [buf] (4 bytes) by reading or writing [len] bytes at [offset]
+   through the checked API; the write's source holds 8 bytes. *)
+let access_buf what ~offset ~len =
+  let m = Mem.create ~name:"buf" ~size:4 in
+  match what with
+  | "read" -> ignore (Mem.read_bytes m ~offset ~len)
+  | _ -> Mem.write_bytes m ~offset ~len (Array.make 8 (Expr.int ~width:8 0))
+
+(* The run reported exactly one out-of-bounds error, under the default
+   site and message of a [what] access to [buf]. *)
+let check_one_oob label what (r : Engine.report) =
+  match
     List.filter (fun (e : Error.t) -> e.Error.kind = Error.Out_of_bounds)
       r.Engine.errors
-  in
-  Alcotest.(check int) "one OOB error" 1 (List.length oob);
-  (* the in-bounds side continues and enumerates len in 1..4 *)
-  Alcotest.(check bool) "paths continued" true (r.Engine.paths_completed >= 4)
+  with
+  | [ e ] ->
+    Alcotest.(check string) (what ^ " site") ("mem:buf:" ^ what) e.Error.site;
+    Alcotest.(check string) (what ^ " message")
+      (what ^ " access exceeds buf (4 bytes)") e.Error.message
+  | oob -> Alcotest.failf "%s: %d OOB errors, expected 1" label (List.length oob)
+
+let test_mem_oob_detected () =
+  List.iter
+    (fun what ->
+       let r =
+         run (fun () ->
+             let len = Engine.fresh32 "len" in
+             Engine.assume
+               (Expr.and_ (Expr.uge len (e_int 1)) (Expr.ule len (e_int 8)));
+             access_buf what ~offset:(e_int 0) ~len)
+       in
+       check_one_oob "one OOB error" what r;
+       (* the in-bounds side continues and enumerates len in 1..4 *)
+       Alcotest.(check bool) "paths continued" true
+         (r.Engine.paths_completed >= 4))
+    [ "read"; "write" ]
 
 let test_mem_oob_wraparound () =
   (* offset + len wrapping 32 bits must not bypass the check *)
-  let r =
-    run (fun () ->
-        let m = Mem.create ~name:"buf" ~size:4 in
-        ignore (Mem.read_bytes m ~offset:(e_int 0xFFFFFFFF) ~len:(e_int 2)))
-  in
-  let oob =
-    List.filter (fun (e : Error.t) -> e.Error.kind = Error.Out_of_bounds)
-      r.Engine.errors
-  in
-  Alcotest.(check int) "wrap caught" 1 (List.length oob)
+  List.iter
+    (fun what ->
+       check_one_oob "wrap caught" what
+         (run (fun () ->
+              access_buf what ~offset:(e_int 0xFFFFFFFF) ~len:(e_int 2))))
+    [ "read"; "write" ]
 
 let test_mem_symbolic_data () =
   let r =

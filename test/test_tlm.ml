@@ -153,6 +153,52 @@ let test_regfile_overlap_rejected () =
         ignore
           (Register.add_range rf ~name:"b" ~base:4 ~access:Register.Read_write b))
 
+(* A repeated name would share one coverage row and one [reg:match:]
+   branch site with the first range. *)
+let test_regfile_duplicate_rejected () =
+  let rf = Register.create ~name:"dup" () in
+  let a = Mem.create ~name:"a" ~size:4 in
+  let b = Mem.create ~name:"b" ~size:4 in
+  ignore (Register.add_range rf ~name:"a" ~base:0 ~access:Register.Read_write a);
+  Alcotest.check_raises "duplicate"
+    (Invalid_argument "Register.add_range: duplicate name a") (fun () ->
+        ignore
+          (Register.add_range rf ~name:"a" ~base:8 ~access:Register.Read_write b))
+
+(* Every range's dispatch sites are visited, under the strings formatted
+   once at [add_range]: an unmapped read under the fixed policy tries
+   each range's match and then its burst check. *)
+let test_regfile_dispatch_sites () =
+  let rf, _, _, _ = make_regfile Register.Fixed in
+  let r =
+    Engine.Session.run (Engine.Session.make ()) (fun () ->
+        ignore (do_read rf ~addr:0x100 ~len:4))
+  in
+  List.iter
+    (fun name ->
+       List.iter
+         (fun site ->
+            Alcotest.(check bool) site true
+              (List.mem_assoc site r.Symex.Engine.branch_coverage))
+         [ "reg:match:" ^ name; "reg:burst:" ^ name ])
+    [ "ctrl"; "status"; "cmd" ]
+
+let test_regfile_access_message () =
+  let rf, _, _, _ = make_regfile Register.Original in
+  let r =
+    Engine.Session.run (Engine.Session.make ()) (fun () ->
+        ignore (do_write32 rf ~addr:0x10 ~value:1))
+  in
+  match r.Symex.Engine.errors with
+  | [ e ] ->
+    Alcotest.(check string) "site" "reg:access" e.Symex.Error.site;
+    Alcotest.(check string) "message"
+      "write of status not registered for this access type"
+      e.Symex.Error.message
+  | errors ->
+    Alcotest.failf "expected one access-type error, got %d"
+      (List.length errors)
+
 let test_regfile_latency () =
   let rf, _, _, _ = make_regfile Register.Fixed in
   let p = Payload.make_read ~addr:(e_int 0) ~len:(e_int 4) in
@@ -191,6 +237,13 @@ let test_router_overlap_rejected () =
   Alcotest.check_raises "overlap"
     (Invalid_argument "Router.add_target: b overlaps a (router bus)")
     (fun () -> Router.add_target router ~name:"b" ~base:8 ~size:16 (fun _ d -> d))
+
+let test_router_duplicate_rejected () =
+  let router = Router.create ~name:"bus" () in
+  Router.add_target router ~name:"a" ~base:0 ~size:16 (fun _ d -> d);
+  Alcotest.check_raises "duplicate"
+    (Invalid_argument "Router.add_target: duplicate name a (router bus)")
+    (fun () -> Router.add_target router ~name:"a" ~base:32 ~size:16 (fun _ d -> d))
 
 (* ------------------------------------------------------------------ *)
 (* Quantum                                                             *)
@@ -286,4 +339,9 @@ let suite =
     ("monitor: decreasing delay flagged", `Quick,
      test_monitor_catches_decreasing_delay);
     ("monitor: short read flagged", `Quick, test_monitor_catches_short_read);
+    ("regfile: duplicate names rejected", `Quick,
+     test_regfile_duplicate_rejected);
+    ("router: duplicate names rejected", `Quick, test_router_duplicate_rejected);
+    ("regfile: dispatch sites per range", `Quick, test_regfile_dispatch_sites);
+    ("regfile: access-type message", `Quick, test_regfile_access_message);
   ]
