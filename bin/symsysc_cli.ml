@@ -100,7 +100,8 @@ let no_incremental =
     "Disable incremental scope solving (rebuild the SAT instance from \
      scratch for every query instead of reusing retained instances \
      across the decision tree).  Verdicts and bug sites are identical \
-     either way; only solving cost differs."
+     either way; counterexamples and concretized values can differ, \
+     and so can solving cost."
   in
   Arg.(value & flag & info [ "no-incremental" ] ~doc)
 

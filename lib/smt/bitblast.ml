@@ -2,9 +2,20 @@
 
 type repr = Lit of int | Bits of int array
 
+(* The memo maps [Expr.id] to the term's translation in an
+   open-addressing table: power-of-two capacity, linear probing, grown
+   at half load, multiplicative hashing (the top bits of the id times an
+   odd constant, so runs of consecutive ids spread out).  A slot holds
+   an entry only while its stamp equals [gen], so [reset] empties the
+   table in O(1) by bumping the generation. *)
 type ctx = {
   sat : Sat.t;
-  memo : (int, repr) Hashtbl.t;        (* Expr.id -> repr *)
+  mutable keys : int array;            (* per slot: Expr.id *)
+  mutable stamps : int array;          (* per slot: generation *)
+  mutable reprs : repr array;          (* per slot: translation *)
+  mutable shift : int;                 (* 63 - log2 capacity *)
+  mutable live : int;                  (* entries of this generation *)
+  mutable gen : int;
   vars : (int, int array) Hashtbl.t;   (* var_id -> bit literals *)
   mutable true_lit : int;              (* literal asserted true, 0 if none *)
   mutable deadline : float option;     (* per-query; mutable for reuse *)
@@ -12,12 +23,55 @@ type ctx = {
   mutable steps : int;                 (* poll subsampling counter *)
 }
 
-let create ?deadline ?stop sat =
-  { sat; memo = Hashtbl.create 1024; vars = Hashtbl.create 64; true_lit = 0;
-    deadline; stop; steps = 0 }
+let memo_bits0 = 10
 
-(* A context retained across queries (Solver.Scope) carries a different
-   budget each time. *)
+let create sat =
+  let cap = 1 lsl memo_bits0 in
+  { sat; keys = Array.make cap 0; stamps = Array.make cap 0;
+    reprs = Array.make cap (Lit 0); shift = 63 - memo_bits0; live = 0;
+    gen = 1; vars = Hashtbl.create 64; true_lit = 0; deadline = None;
+    stop = None; steps = 0 }
+
+(* A reset context on a reset [Sat.t] encodes exactly as a fresh pair:
+   no memo entry, variable or true literal of an earlier query
+   survives, and polling restarts its subsampling count. *)
+let reset ctx =
+  ctx.gen <- ctx.gen + 1;
+  ctx.live <- 0;
+  Hashtbl.clear ctx.vars;
+  ctx.true_lit <- 0;
+  ctx.steps <- 0
+
+let[@inline] memo_home ctx id = (id * 0x1E3779B97F4A7C15) lsr ctx.shift
+
+(* The slot holding [id], or the empty slot where its probe ends. *)
+let rec memo_probe ctx id i =
+  if ctx.stamps.(i) <> ctx.gen || ctx.keys.(i) = id then i
+  else memo_probe ctx id ((i + 1) land (Array.length ctx.keys - 1))
+
+let memo_place ctx id r =
+  let i = memo_probe ctx id (memo_home ctx id) in
+  ctx.keys.(i) <- id;
+  ctx.stamps.(i) <- ctx.gen;
+  ctx.reprs.(i) <- r
+
+let memo_grow ctx =
+  let keys = ctx.keys and stamps = ctx.stamps and reprs = ctx.reprs in
+  let cap = 2 * Array.length keys in
+  ctx.keys <- Array.make cap 0;
+  ctx.stamps <- Array.make cap 0;
+  ctx.reprs <- Array.make cap (Lit 0);
+  ctx.shift <- ctx.shift - 1;
+  Array.iteri
+    (fun i id -> if stamps.(i) = ctx.gen then memo_place ctx id reprs.(i))
+    keys
+
+let memo_add ctx id r =
+  memo_place ctx id r;
+  ctx.live <- ctx.live + 1;
+  if 2 * ctx.live > Array.length ctx.keys then memo_grow ctx
+
+(* A context carries a different budget for each query. *)
 let set_deadline ctx d = ctx.deadline <- d
 let set_stop ctx f = ctx.stop <- f
 
@@ -61,9 +115,9 @@ let gate_and ctx a b =
   else if a = -b then lit_false ctx
   else begin
     let g = fresh ctx in
-    Sat.add_clause ctx.sat [ -g; a ];
-    Sat.add_clause ctx.sat [ -g; b ];
-    Sat.add_clause ctx.sat [ -a; -b; g ];
+    Sat.add_clause2 ctx.sat (-g) a;
+    Sat.add_clause2 ctx.sat (-g) b;
+    Sat.add_clause3 ctx.sat (-a) (-b) g;
     g
   end
 
@@ -74,10 +128,10 @@ let gate_xor ctx a b =
   else if a = -b then lit_true ctx
   else begin
     let g = fresh ctx in
-    Sat.add_clause ctx.sat [ -g; a; b ];
-    Sat.add_clause ctx.sat [ -g; -a; -b ];
-    Sat.add_clause ctx.sat [ g; -a; b ];
-    Sat.add_clause ctx.sat [ g; a; -b ];
+    Sat.add_clause3 ctx.sat (-g) a b;
+    Sat.add_clause3 ctx.sat (-g) (-a) (-b);
+    Sat.add_clause3 ctx.sat g (-a) b;
+    Sat.add_clause3 ctx.sat g a (-b);
     g
   end
 
@@ -88,10 +142,10 @@ let gate_ite ctx c a b =
   if a = b then a
   else begin
     let g = fresh ctx in
-    Sat.add_clause ctx.sat [ -c; -a; g ];
-    Sat.add_clause ctx.sat [ -c; a; -g ];
-    Sat.add_clause ctx.sat [ c; -b; g ];
-    Sat.add_clause ctx.sat [ c; b; -g ];
+    Sat.add_clause3 ctx.sat (-c) (-a) g;
+    Sat.add_clause3 ctx.sat (-c) a (-g);
+    Sat.add_clause3 ctx.sat c (-b) g;
+    Sat.add_clause3 ctx.sat c b (-g);
     g
   end
 
@@ -223,13 +277,15 @@ let divide ctx a b =
   q, rem
 
 let rec translate ctx (e : Expr.t) : repr =
-  match Hashtbl.find_opt ctx.memo e.Expr.id with
-  | Some r -> r
-  | None ->
+  let id = e.Expr.id in
+  let i = memo_probe ctx id (memo_home ctx id) in
+  if ctx.stamps.(i) = ctx.gen then ctx.reprs.(i)
+  else begin
     poll ctx;
     let r = translate_uncached ctx e in
-    Hashtbl.add ctx.memo e.Expr.id r;
+    memo_add ctx id r;
     r
+  end
 
 and bool_lit ctx e =
   match translate ctx e with

@@ -3,24 +3,35 @@
     Every bitvector term is translated to a vector of SAT literals
     (LSB first); boolean terms translate to a single literal.
     Translation is memoized per context, so shared subterms are encoded
-    once — the natural consequence of hash-consed input terms. *)
+    once — the natural consequence of hash-consed input terms.  Gates
+    add their clauses with {!Sat.add_clause2} and {!Sat.add_clause3}. *)
 
 type ctx
 
-val create : ?deadline:float -> ?stop:(unit -> bool) -> Sat.t -> ctx
-(** [deadline] (absolute [Unix.gettimeofday] instant) and [stop] are
-    polled during translation — subsampled at term-node boundaries — and
-    raise {!Sat.Timeout} / {!Sat.Interrupted} respectively, so encoding
-    a huge term respects the same per-query budget as the CDCL search
-    that follows it. *)
+val create : Sat.t -> ctx
+(** A context encoding into the given instance, with no deadline and no
+    stop predicate. *)
+
+val reset : ctx -> unit
+(** Forget every translation, variable and the true literal, as a fresh
+    context would, keeping the memo table's storage.  Only meant
+    together with a {!Sat.reset} of the context's instance: a reset
+    context on a reset instance encodes every term exactly as a fresh
+    pair [create (Sat.create ())] does — the same clauses, variable
+    numbering and model.  The deadline and stop predicate are kept;
+    set them per query. *)
 
 val set_deadline : ctx -> float option -> unit
-(** Replace the deadline polled during translation.  A context kept
-    alive across queries ({!Solver.Scope}) gets a fresh per-query
-    budget each time. *)
+(** Replace the deadline (an absolute [Unix.gettimeofday] instant)
+    polled during translation, subsampled at term-node boundaries;
+    once it has passed, translation raises {!Sat.Timeout}, so encoding
+    a huge term respects the same per-query budget as the CDCL search
+    that follows it.  A context kept alive across queries gets a fresh
+    per-query budget each time. *)
 
 val set_stop : ctx -> (unit -> bool) option -> unit
-(** Replace the external-stop predicate polled during translation. *)
+(** Replace the external-stop predicate polled at the same points;
+    when it returns [true], translation raises {!Sat.Interrupted}. *)
 
 val assert_true : ctx -> Expr.t -> unit
 (** Assert a boolean term as a top-level constraint. *)

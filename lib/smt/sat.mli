@@ -33,6 +33,15 @@ val add_clause : t -> int list -> unit
     any standing decisions from a previous [Sat] answer are undone
     first. *)
 
+val add_clause2 : t -> int -> int -> unit
+(** [add_clause2 t a b] is [add_clause t [ a; b ]]: the same
+    normalization, the same stored clause, trail and unsat flag, without
+    building the list. *)
+
+val add_clause3 : t -> int -> int -> int -> unit
+(** [add_clause3 t a b c] is [add_clause t [ a; b; c ]], as
+    {!add_clause2}. *)
+
 type result = Sat | Unsat
 
 val solve :
@@ -92,7 +101,9 @@ val trail : t -> int list
 (** Assigned literals, in assignment order. *)
 
 val watch_list : t -> int -> int list
-(** Ids of the clauses watching a literal, in watch-list order. *)
+(** Ids of the clauses watching a literal, in watch-list order.  Watch
+    lists hold arena offsets; each id is recovered by walking the arena,
+    so this costs time linear in the clause count per entry. *)
 
 val is_unsat : t -> bool
 (** The instance is permanently unsatisfiable: a level-0 conflict or an

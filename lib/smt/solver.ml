@@ -396,26 +396,27 @@ let stage name timef record f =
 let retries = ref 0
 let set_retries n = retries := max 0 n
 
-(* Every scratch query runs on this one instance, reset first: queries
-   share its storage but no state, so a scratch answer is still a pure
-   function of the query while encoding stops allocating. *)
+(* Every scratch query runs on this one instance and encoder, both
+   reset first: queries share their storage but no state, so a scratch
+   answer is still a pure function of the query while encoding stops
+   allocating. *)
 let scratch_sat = Sat.create ()
+let scratch_ctx = Bitblast.create scratch_sat
 
 let solve_with_sat ?conflict_limit ?deadline ~attempt constraints vars =
-  let sat = scratch_sat in
+  let sat = scratch_sat and ctx = scratch_ctx in
   Sat.reset sat;
+  Bitblast.reset ctx;
   let stop () = !interrupt_check () in
+  Bitblast.set_deadline ctx deadline;
+  Bitblast.set_stop ctx (Some stop);
   let blast =
     stage "bitblast"
       (fun s dt -> { s with Stats.bitblast_time = s.Stats.bitblast_time +. dt })
       (fun _ -> [ ("vars", Obs.Event.Int (Sat.num_vars sat)) ])
       (fun () ->
-         match
-           let ctx = Bitblast.create ?deadline ~stop sat in
-           List.iter (Bitblast.assert_true ctx) constraints;
-           ctx
-         with
-         | ctx -> Ok ctx
+         match List.iter (Bitblast.assert_true ctx) constraints with
+         | () -> Ok ()
          | exception Sat.Timeout ->
            Stats.(
              current :=
@@ -425,7 +426,7 @@ let solve_with_sat ?conflict_limit ?deadline ~attempt constraints vars =
   in
   match blast with
   | Error msg -> Unknown msg
-  | Ok ctx ->
+  | Ok () ->
     if attempt > 0 then Sat.perturb sat (Int64.of_int attempt);
     let result =
       stage "sat"
@@ -496,7 +497,7 @@ let scope_solve scope ?conflict_limit ?deadline ~attempt constraints vars =
                 | None ->
                   let l = Bitblast.literal ctx c in
                   let g = Sat.new_var sat in
-                  Sat.add_clause sat [ -g; l ];
+                  Sat.add_clause2 sat (-g) l;
                   Hashtbl.add inst.Scope.i_guards c.Expr.id g;
                   g)
              constraints

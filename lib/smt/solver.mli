@@ -150,15 +150,22 @@ val set_interrupt_check : (unit -> bool) -> unit
 val set_independence : bool -> unit
 (** Enable or disable independence slicing (enabled by default).  When
     disabled the whole constraint set is solved as a single slice, as
-    before; results are identical either way, only cost differs.  Used
-    by [--no-independence]. *)
+    before.  Verdicts and bug sites are identical either way; models
+    are not: one CNF for the whole set can lead the search to another
+    model, so counterexamples and concretized values can differ (on
+    Table 1, T4's [reg:align] counterexample).  Used by
+    [--no-independence]. *)
 
 val set_incremental : bool -> unit
 (** Enable or disable incremental scope solving (enabled by default).
     When disabled, [check] with a [scope] falls back to the scratch
-    path, which bit-blasts onto a {!Sat.reset} instance; results are
-    identical either way, only cost differs.  Used by
-    [--no-incremental]. *)
+    path, which bit-blasts onto a {!Sat.reset} instance.  Verdicts and
+    bug sites are identical either way; models are not: the queries a
+    scope would have answered are solved on the scratch path instead,
+    and their models enter the query and counterexample caches, where
+    later model-consuming queries can find them.  So counterexamples
+    and concretized values can differ (on Table 1, a value T2's path 12
+    concretizes).  Used by [--no-incremental]. *)
 
 val incremental_enabled : unit -> bool
 (** Current incremental-mode setting. *)

@@ -5,6 +5,7 @@ module Bv = Smt.Bv
 module Expr = Smt.Expr
 module Interval = Smt.Interval
 module Sat = Smt.Sat
+module Bitblast = Smt.Bitblast
 module Solver = Smt.Solver
 module Model = Smt.Model
 
@@ -1213,6 +1214,49 @@ let prop_add_clause_matches_reference =
             clauses
           && (Sat.solve s = Sat.Sat) = brute_force_sat nvars clauses))
 
+(* [Sat.add_clause2] and [Sat.add_clause3] are [Sat.add_clause] on the
+   two- or three-element list.  One instance takes every 2- and
+   3-literal clause of the script through them, a second takes every
+   clause through [add_clause]; after each add both must hold the same
+   clauses, trail, unsat flag and watch lists.  A solve halfway through
+   leaves decisions standing, so the adds after it must drop them as
+   [add_clause] does. *)
+let prop_fixed_arity_adds_match_add_clause =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500
+       ~name:"sat: add_clause2/3 equal add_clause on the list"
+       arb_clause_script
+       (fun (nvars, clauses) ->
+          let fixed = Sat.create () and listed = Sat.create () in
+          for _ = 1 to nvars do
+            ignore (Sat.new_var fixed);
+            ignore (Sat.new_var listed)
+          done;
+          let state s =
+            ( Sat.clauses s,
+              Sat.trail s,
+              Sat.is_unsat s,
+              List.init nvars (fun i ->
+                  (Sat.watch_list s (i + 1), Sat.watch_list s (-(i + 1)))) )
+          in
+          let values s = List.init nvars (fun i -> Sat.value s (i + 1)) in
+          let half = List.length clauses / 2 in
+          List.for_all
+            (fun (i, c) ->
+               (i <> half || Sat.solve fixed = Sat.solve listed)
+               && begin
+                 (match c with
+                  | [ a; b ] -> Sat.add_clause2 fixed a b
+                  | [ a; b; c ] -> Sat.add_clause3 fixed a b c
+                  | c -> Sat.add_clause fixed c);
+                 Sat.add_clause listed c;
+                 state fixed = state listed
+               end)
+            (List.mapi (fun i c -> (i, c)) clauses)
+          && Sat.solve fixed = Sat.solve listed
+          && state fixed = state listed
+          && values fixed = values listed))
+
 (* [Sat.reset] leaves nothing of the earlier script.  Script A runs and
    is sometimes solved, perturbed as a retried scratch query is, under a
    tiny conflict limit, so that [Resource_exhausted] strands decisions
@@ -1259,6 +1303,62 @@ let prop_reset_equals_fresh =
           && state reused = state fresh
           && values reused = values fresh))
 
+(* [Bitblast.reset] on a [Sat.reset] instance encodes like a fresh
+   pair.  Terms A are encoded and solved first: random width-8 terms
+   compared against constants, padded with one comparison on each of 300
+   width-1 variables, so that over 600 translated nodes grow the memo
+   table past its first 1,024 slots.  After both resets, terms B over
+   the same variables and constants must give the clauses, variable
+   count, answer and model of a fresh pair that encoded only B.  A memo
+   slot left live by the reset would hand B a literal of A. *)
+let prop_bitblast_reset_equals_fresh =
+  let vars = Array.init 3 (fun i -> Expr.fresh_var (Printf.sprintf "r%d" i) 8) in
+  let padding =
+    List.init 300 (fun k ->
+        Expr.eq (Expr.fresh_var (Printf.sprintf "p%d" k) 1) (Expr.int ~width:1 1))
+  in
+  let cmps = [| Expr.eq; Expr.ult; Expr.ule; Expr.slt; Expr.ne |] in
+  let gen_terms =
+    QCheck.Gen.(
+      list_size (int_range 1 6)
+        (triple (gen_ast 3) (int_bound 4) (int_bound 255)))
+  in
+  let terms =
+    List.map (fun (ast, cmp, c) ->
+        cmps.(cmp) (ast_to_expr vars ast) (Expr.int ~width:8 c))
+  in
+  let print (a, b) =
+    let show ts = String.concat " & " (List.map Expr.to_string (terms ts)) in
+    Printf.sprintf "A: %s\nB: %s" (show a) (show b)
+  in
+  let outcome sat ctx =
+    let answer = Sat.solve sat in
+    ( Sat.num_vars sat,
+      answer,
+      Model.to_string
+        (Bitblast.extract_model ctx
+           (List.concat_map Expr.vars (Array.to_list vars))) )
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200
+       ~name:"bitblast: a reset context encodes like a fresh one"
+       (QCheck.make ~print (QCheck.Gen.pair gen_terms gen_terms))
+       (fun (a, b) ->
+          let sat = Sat.create () in
+          let ctx = Bitblast.create sat in
+          List.iter (Bitblast.assert_true ctx) (padding @ terms a);
+          (match Sat.solve ~conflict_limit:20 sat with
+           | _ -> ()
+           | exception Sat.Resource_exhausted -> ());
+          Sat.reset sat;
+          Bitblast.reset ctx;
+          List.iter (Bitblast.assert_true ctx) (terms b);
+          let fresh_sat = Sat.create () in
+          let fresh_ctx = Bitblast.create fresh_sat in
+          List.iter (Bitblast.assert_true fresh_ctx) (terms b);
+          Sat.clauses sat = Sat.clauses fresh_sat
+          && outcome sat ctx = outcome fresh_sat fresh_ctx))
+
 (* Watch-list order after search, pinned.  [propagate] rewrites each
    watch list it walks, and the order it leaves decides which clause
    the next propagation visits first — so it steers every later
@@ -1303,6 +1403,52 @@ let test_sat_watch_order_pinned () =
   done;
   Alcotest.(check string) "watch lists, trail and counters"
     "f96ea188c6a5b2ddbd6a3598cec521ef" (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* The search pinned across VSIDS rescaling.  [var_inc] grows by
+   1/0.95 per conflict, so an instance rescales every activity by 1e-100
+   after about 4,490 conflicts, and a rescale can underflow activities
+   into ties — where a decision rule other than "highest activity,
+   lowest index among equals" would show.  Random 3-SAT at clause ratio
+   4.26, each instance solved three times under one assumption with a
+   perturb before the third; the digest covers answers, counters and
+   trails and was recorded with the decision rule that scanned every
+   variable in index order. *)
+let test_sat_rescale_pinned () =
+  let b = Buffer.create 65536 in
+  let most = ref 0 in
+  List.iter
+    (fun (nvars, seed) ->
+       let st = Random.State.make [| seed |] in
+       let s = Sat.create () in
+       for _ = 1 to nvars do
+         ignore (Sat.new_var s)
+       done;
+       let lit () =
+         let v = 1 + Random.State.int st nvars in
+         if Random.State.bool st then v else -v
+       in
+       for _ = 1 to nvars * 426 / 100 do
+         Sat.add_clause s (List.init 3 (fun _ -> lit ()))
+       done;
+       let a = lit () in
+       for round = 1 to 3 do
+         if round = 3 then Sat.perturb s (Int64.of_int seed);
+         let r = Sat.solve ~assumptions:[ a ] s in
+         Buffer.add_string b
+           (Printf.sprintf "%s c%d d%d p%d trail %s\n"
+              (if r = Sat.Sat then "S" else "U")
+              (Sat.stats_conflicts s) (Sat.stats_decisions s)
+              (Sat.stats_propagations s)
+              (String.concat "," (List.map string_of_int (Sat.trail s))))
+       done;
+       most := max !most (Sat.stats_conflicts s))
+    [ (170, 3); (180, 7); (185, 3); (190, 3) ];
+  Alcotest.(check bool)
+    (Printf.sprintf "an instance rescales (%d conflicts > 4,490)" !most)
+    true (!most > 4490);
+  Alcotest.(check string) "answers, counters and trails"
+    "2827b6889adfd1ce1005a467b0ead366"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 let suite =
   [
@@ -1365,4 +1511,8 @@ let suite =
     ("sat: watch-list order pinned", `Quick, test_sat_watch_order_pinned);
   ]
   @ bv_props
-  @ [ prop_reset_equals_fresh; prop_hash_consing_contract ]
+  @ [ prop_reset_equals_fresh; prop_hash_consing_contract;
+      prop_fixed_arity_adds_match_add_clause;
+      prop_bitblast_reset_equals_fresh;
+      ("sat: search pinned across activity rescaling", `Quick,
+       test_sat_rescale_pinned) ]
