@@ -42,11 +42,17 @@ let is_bool t = t.sort = Bool
    one open-addressing table: power-of-two capacity, linear probing,
    grown at half load, never shrunk (terms are never freed).  A node's
    key is a tag and three integer fields, children by id; ids identify
-   children exactly because children are themselves hash-consed.  The
-   smart constructors probe with the key before building a node, so a
-   hit allocates nothing.  Booleans and variables never enter the table:
-   [tru] and [fls] are built once and every variable is fresh.  Ids
-   follow first-construction order, which [commute] relies on. *)
+   children exactly because children are themselves hash-consed.  Each
+   slot's key sits in a flat int array beside the term array, so a
+   probe compares integers and reads the term only on a hit, and
+   growing rehashes from the stored keys.  The smart constructors probe
+   with the key before they build a node, and constant folds other than
+   division and [sext] compute the result's bits without building a
+   [Bv.t], so such a hit allocates nothing.  The table starts at 4,096
+   slots, because every slot costs five words and a benchmark sample
+   builds fewer than 900 terms.  Booleans and variables never enter the
+   table: [tru] and [fls] are built once and every variable is fresh.
+   Ids follow first-construction order, which [commute] relies on. *)
 
 let binop_code = function
   | Add -> 0 | Sub -> 1 | Mul -> 2 | Udiv -> 3 | Urem -> 4 | Sdiv -> 5
@@ -66,46 +72,6 @@ let[@inline] key_hash tag a b c =
   let h = (h lxor (h lsr 33)) * 0x04ceb9fe1a85ec53 in
   h lxor (h lsr 33)
 
-(* A constant's key holds its width and all 64 value bits: the low 63
-   as an int, bit 63 on its own. *)
-let[@inline] low_bits v = Int64.to_int v
-let[@inline] top_bit v = Int64.to_int (Int64.shift_right_logical v 63)
-
-let[@inline] key_matches node tag a b c =
-  match node with
-  | Bv_const v ->
-    let x = Bv.to_int64 v in
-    tag = 1 && a = Bv.width v && b = low_bits x && c = top_bit x
-  | Not x -> tag = 2 && a = x.id
-  | Andb (x, y) -> tag = 3 && a = x.id && b = y.id
-  | Orb (x, y) -> tag = 4 && a = x.id && b = y.id
-  | Cmp (op, x, y) -> tag = 5 && a = cmpop_code op && b = x.id && c = y.id
-  | Ite (x, y, z) -> tag = 6 && a = x.id && b = y.id && c = z.id
-  | Bnot x -> tag = 7 && a = x.id
-  | Bin (op, x, y) -> tag = 8 && a = binop_code op && b = x.id && c = y.id
-  | Extract (hi, lo, x) -> tag = 9 && a = hi && b = lo && c = x.id
-  | Concat (x, y) -> tag = 10 && a = x.id && b = y.id
-  | Zext (w, x) -> tag = 11 && a = w && b = x.id
-  | Sext (w, x) -> tag = 12 && a = w && b = x.id
-  | Bool_const _ | Var _ -> false
-
-let node_hash = function
-  | Bv_const v ->
-    let x = Bv.to_int64 v in
-    key_hash 1 (Bv.width v) (low_bits x) (top_bit x)
-  | Not x -> key_hash 2 x.id 0 0
-  | Andb (x, y) -> key_hash 3 x.id y.id 0
-  | Orb (x, y) -> key_hash 4 x.id y.id 0
-  | Cmp (op, x, y) -> key_hash 5 (cmpop_code op) x.id y.id
-  | Ite (x, y, z) -> key_hash 6 x.id y.id z.id
-  | Bnot x -> key_hash 7 x.id 0 0
-  | Bin (op, x, y) -> key_hash 8 (binop_code op) x.id y.id
-  | Extract (hi, lo, x) -> key_hash 9 hi lo x.id
-  | Concat (x, y) -> key_hash 10 x.id y.id 0
-  | Zext (w, x) -> key_hash 11 w x.id 0
-  | Sext (w, x) -> key_hash 12 w x.id 0
-  | Bool_const _ | Var _ -> invalid_arg "Expr.node_hash: not hash-consed"
-
 let next_id = ref 0
 
 let fresh sort node =
@@ -113,54 +79,66 @@ let fresh sort node =
   incr next_id;
   t
 
-(* The empty-slot marker; never returned by a constructor. *)
+(* Slot [i]'s key is [keys.(4i)] to [keys.(4i + 3)]: tag, a, b, c.
+   Tags start at 1, so a zero tag marks an empty slot. *)
+let initial_slots = 4_096
+
+(* What [probe] returns on a miss; never returned by a constructor. *)
 let vacant = { id = -1; sort = Bool; node = Bool_const false }
-let slots = ref (Array.make 65_536 vacant)
+let slots = ref (Array.make initial_slots vacant)
+let keys = ref (Array.make (4 * initial_slots) 0)
 let occupied = ref 0
 
 (* Where the last missed [probe] stopped; [insert] fills it. *)
 let hole = ref 0
 
-let rec probe_from s i tag a b c =
-  let t = s.(i) in
-  if t == vacant then begin
+let rec probe_from k mask i tag a b c =
+  let j = 4 * i in
+  let tag' = k.(j) in
+  if tag' = 0 then begin
     hole := i;
     vacant
   end
-  else if key_matches t.node tag a b c then t
-  else probe_from s ((i + 1) land (Array.length s - 1)) tag a b c
+  else if tag' = tag && k.(j + 1) = a && k.(j + 2) = b && k.(j + 3) = c then
+    !slots.(i)
+  else probe_from k mask ((i + 1) land mask) tag a b c
 
 (* The resident term with this key, or [vacant]. *)
 let[@inline] probe tag a b c =
-  let s = !slots in
-  probe_from s (key_hash tag a b c land (Array.length s - 1)) tag a b c
+  let k = !keys in
+  let mask = (Array.length k / 4) - 1 in
+  probe_from k mask (key_hash tag a b c land mask) tag a b c
 
 let grow () =
-  let s = Array.make (2 * Array.length !slots) vacant in
-  let mask = Array.length s - 1 in
-  Array.iter
-    (fun t ->
-       if t != vacant then begin
-         let i = ref (node_hash t.node land mask) in
-         while s.(!i) != vacant do i := (!i + 1) land mask done;
-         s.(!i) <- t
-       end)
-    !slots;
-  slots := s
+  let s = !slots and k = !keys in
+  let n = 2 * Array.length s in
+  let s' = Array.make n vacant and k' = Array.make (4 * n) 0 in
+  let mask = n - 1 in
+  for i = 0 to Array.length s - 1 do
+    let j = 4 * i in
+    if k.(j) <> 0 then begin
+      let i' = ref (key_hash k.(j) k.(j + 1) k.(j + 2) k.(j + 3) land mask) in
+      while k'.(4 * !i') <> 0 do i' := (!i' + 1) land mask done;
+      s'.(!i') <- s.(i);
+      Array.blit k j k' (4 * !i') 4
+    end
+  done;
+  slots := s';
+  keys := k'
 
-(* Only valid right after a [probe] that returned [vacant]. *)
-let insert sort node =
+(* Only valid right after a [probe] of the same key that returned
+   [vacant]. *)
+let insert tag a b c sort node =
   let t = fresh sort node in
-  !slots.(!hole) <- t;
+  let i = !hole and k = !keys in
+  !slots.(i) <- t;
+  k.(4 * i) <- tag;
+  k.((4 * i) + 1) <- a;
+  k.((4 * i) + 2) <- b;
+  k.((4 * i) + 3) <- c;
   incr occupied;
   if 2 * !occupied > Array.length !slots then grow ();
   t
-
-let instructions = ref 0
-
-let instruction_count () = !instructions
-let reset_instruction_count () = instructions := 0
-let add_instructions n = instructions := !instructions + n
 
 (* Term construction performed by the solving machinery (feasibility
    probes, negated query sides, scope mirroring) must not count as DUV
@@ -168,6 +146,11 @@ let add_instructions n = instructions := !instructions + n
    mode (live fork vs prescribed replay vs snapshot fast-forward), and
    instruction totals are required to be identical across modes. *)
 let counting = ref true
+let instructions = ref 0
+
+let instruction_count () = !instructions
+let reset_instruction_count () = instructions := 0
+let add_instructions n = if !counting then instructions := !instructions + n
 
 let without_counting f =
   if not !counting then f ()
@@ -180,12 +163,42 @@ let tru = fresh Bool (Bool_const true)
 let fls = fresh Bool (Bool_const false)
 let bool b = if b then tru else fls
 
-let const v =
-  let w = Bv.width v and x = Bv.to_int64 v in
-  let t = probe 1 w (low_bits x) (top_bit x) in
-  if t != vacant then t else insert (Bv w) (Bv_const v)
+(* A constant's key holds its width and all 64 value bits: the low 63
+   as an int, bit 63 on its own.  [const_key] builds the [Bv.t] only on
+   a miss, so folds that compute a result's bits as an [int64] (kept
+   unboxed by inlining) allocate nothing when the constant is resident.
+   An invalid width misses and raises in [Bv.make]. *)
+let const_key w lo hi =
+  let t = probe 1 w lo hi in
+  if t != vacant then t
+  else
+    let x =
+      Int64.logor
+        (Int64.logand (Int64.of_int lo) Int64.max_int)
+        (Int64.shift_left (Int64.of_int hi) 63)
+    in
+    insert 1 w lo hi (Bv w) (Bv_const (Bv.make ~width:w x))
 
-let int ~width v = const (Bv.of_int ~width v)
+let[@inline] low_bits x = Int64.to_int x
+let[@inline] top_bit x = Int64.to_int (Int64.shift_right_logical x 63)
+let[@inline] const_bits w x = const_key w (low_bits x) (top_bit x)
+let zero w = const_key w 0 0
+
+(* [x] cut to its low [w] bits, and sign-extended from bit [w - 1]. *)
+let[@inline] mask w x =
+  if w >= 64 then x else Int64.logand x (Int64.pred (Int64.shift_left 1L w))
+
+let[@inline] signed w x =
+  let s = 64 - w in
+  Int64.shift_right (Int64.shift_left x s) s
+
+let const v = const_bits (Bv.width v) (Bv.to_int64 v)
+
+(* [Bv.of_int]'s bits: [v] sign-extended to 64 bits, then cut to
+   [width]. *)
+let int ~width v =
+  if width >= 63 then const_key width v (if width = 64 && v < 0 then 1 else 0)
+  else const_key width (v land ((1 lsl width) - 1)) 0
 
 let next_var_id = ref 0
 
@@ -199,47 +212,51 @@ let fresh_var name w =
 
 let mk_not x =
   let t = probe 2 x.id 0 0 in
-  if t != vacant then t else insert Bool (Not x)
+  if t != vacant then t else insert 2 x.id 0 0 Bool (Not x)
 
 let mk_andb x y =
   let t = probe 3 x.id y.id 0 in
-  if t != vacant then t else insert Bool (Andb (x, y))
+  if t != vacant then t else insert 3 x.id y.id 0 Bool (Andb (x, y))
 
 let mk_orb x y =
   let t = probe 4 x.id y.id 0 in
-  if t != vacant then t else insert Bool (Orb (x, y))
+  if t != vacant then t else insert 4 x.id y.id 0 Bool (Orb (x, y))
 
 let mk_cmp_node op x y =
-  let t = probe 5 (cmpop_code op) x.id y.id in
-  if t != vacant then t else insert Bool (Cmp (op, x, y))
+  let c = cmpop_code op in
+  let t = probe 5 c x.id y.id in
+  if t != vacant then t else insert 5 c x.id y.id Bool (Cmp (op, x, y))
 
 let mk_ite c x y =
   let t = probe 6 c.id x.id y.id in
-  if t != vacant then t else insert x.sort (Ite (c, x, y))
+  if t != vacant then t else insert 6 c.id x.id y.id x.sort (Ite (c, x, y))
 
 let mk_bnot x =
   let t = probe 7 x.id 0 0 in
-  if t != vacant then t else insert x.sort (Bnot x)
+  if t != vacant then t else insert 7 x.id 0 0 x.sort (Bnot x)
 
 let mk_bin op x y =
-  let t = probe 8 (binop_code op) x.id y.id in
-  if t != vacant then t else insert x.sort (Bin (op, x, y))
+  let c = binop_code op in
+  let t = probe 8 c x.id y.id in
+  if t != vacant then t else insert 8 c x.id y.id x.sort (Bin (op, x, y))
 
 let mk_extract hi lo x =
   let t = probe 9 hi lo x.id in
-  if t != vacant then t else insert (Bv (hi - lo + 1)) (Extract (hi, lo, x))
+  if t != vacant then t
+  else insert 9 hi lo x.id (Bv (hi - lo + 1)) (Extract (hi, lo, x))
 
 let mk_concat x y =
   let t = probe 10 x.id y.id 0 in
-  if t != vacant then t else insert (Bv (width x + width y)) (Concat (x, y))
+  if t != vacant then t
+  else insert 10 x.id y.id 0 (Bv (width x + width y)) (Concat (x, y))
 
 let mk_zext w x =
   let t = probe 11 w x.id 0 in
-  if t != vacant then t else insert (Bv w) (Zext (w, x))
+  if t != vacant then t else insert 11 w x.id 0 (Bv w) (Zext (w, x))
 
 let mk_sext w x =
   let t = probe 12 w x.id 0 in
-  if t != vacant then t else insert (Bv w) (Sext (w, x))
+  if t != vacant then t else insert 12 w x.id 0 (Bv w) (Sext (w, x))
 
 let to_bool t =
   match t.node with Bool_const b -> Some b | _ -> None
@@ -308,7 +325,7 @@ and mk_cmp op a b =
             | Bv_const v when Bv.is_ones v -> fls
             | Bv_const v when Bv.is_zero v ->
               (* 0 < b  <=>  b <> 0 *)
-              mk_not (mk_cmp Eq b (const (Bv.zero (width b))))
+              mk_not (mk_cmp Eq b (zero (width b)))
             | _ -> mk_cmp_node Ult a b))
       | Ule ->
         (match a.node with
@@ -317,7 +334,7 @@ and mk_cmp op a b =
            (match b.node with
             | Bv_const v when Bv.is_ones v -> tru
             | Bv_const v when Bv.is_zero v ->
-              mk_cmp Eq a (const (Bv.zero (width a)))
+              mk_cmp Eq a (zero (width a))
             | _ -> mk_cmp_node Ule a b))
       | Slt -> mk_cmp_node Slt a b
       | Sle -> mk_cmp_node Sle a b
@@ -414,17 +431,27 @@ let bin_fold op x y =
   | Lshr -> Bv.lshr x y
   | Ashr -> Bv.ashr x y
 
+(* Folds on constant operands compute the result's bits from the
+   operands' [int64]s; [mask] cuts them to the result's width where the
+   operation can set higher bits.  Division and [sext] fold through
+   [Bv]. *)
+let[@inline] bits v = Bv.to_int64 v
+
 let add a b =
   count ();
   check_same_width "add" a b;
   match a.node, b.node with
-  | Bv_const x, Bv_const y -> const (Bv.add x y)
+  | Bv_const x, Bv_const y ->
+    let w = width a in
+    const_bits w (mask w (Int64.add (bits x) (bits y)))
   | Bv_const x, _ when Bv.is_zero x -> b
   | _, Bv_const y when Bv.is_zero y -> a
   | Bv_const x, Bin (Add, { node = Bv_const y; _ }, z) ->
     (* c1 + (c2 + z) --> (c1+c2) + z *)
-    let c = const (Bv.add x y) in
-    if Bv.is_zero (Bv.add x y) then z else mk_bin Add c z
+    let w = width a in
+    let s = mask w (Int64.add (bits x) (bits y)) in
+    let c = const_bits w s in
+    if s = 0L then z else mk_bin Add c z
   | _ ->
     let a, b = commute a b in
     mk_bin Add a b
@@ -433,16 +460,20 @@ let sub a b =
   count ();
   check_same_width "sub" a b;
   match a.node, b.node with
-  | Bv_const x, Bv_const y -> const (Bv.sub x y)
+  | Bv_const x, Bv_const y ->
+    let w = width a in
+    const_bits w (mask w (Int64.sub (bits x) (bits y)))
   | _, Bv_const y when Bv.is_zero y -> a
   | _ ->
-    if a == b then const (Bv.zero (width a)) else mk_bin Sub a b
+    if a == b then zero (width a) else mk_bin Sub a b
 
 let mul a b =
   count ();
   check_same_width "mul" a b;
   match a.node, b.node with
-  | Bv_const x, Bv_const y -> const (Bv.mul x y)
+  | Bv_const x, Bv_const y ->
+    let w = width a in
+    const_bits w (mask w (Int64.mul (bits x) (bits y)))
   | Bv_const x, _ when Bv.is_zero x -> a
   | _, Bv_const y when Bv.is_zero y -> b
   | Bv_const x, _ when Bv.equal x (Bv.one (Bv.width x)) -> b
@@ -466,15 +497,16 @@ let srem a b = div_like "srem" Srem a b
 
 let neg a =
   count ();
+  let w = width a in
   match a.node with
-  | Bv_const x -> const (Bv.neg x)
-  | _ -> mk_bin Sub (const (Bv.zero (width a))) a
+  | Bv_const x -> const_bits w (mask w (Int64.neg (bits x)))
+  | _ -> mk_bin Sub (zero w) a
 
 let band a b =
   count ();
   check_same_width "band" a b;
   match a.node, b.node with
-  | Bv_const x, Bv_const y -> const (Bv.logand x y)
+  | Bv_const x, Bv_const y -> const_bits (width a) (Int64.logand (bits x) (bits y))
   | Bv_const x, _ when Bv.is_zero x -> a
   | _, Bv_const y when Bv.is_zero y -> b
   | Bv_const x, _ when Bv.is_ones x -> b
@@ -489,7 +521,7 @@ let bor a b =
   count ();
   check_same_width "bor" a b;
   match a.node, b.node with
-  | Bv_const x, Bv_const y -> const (Bv.logor x y)
+  | Bv_const x, Bv_const y -> const_bits (width a) (Int64.logor (bits x) (bits y))
   | Bv_const x, _ when Bv.is_zero x -> b
   | _, Bv_const y when Bv.is_zero y -> a
   | Bv_const x, _ when Bv.is_ones x -> a
@@ -504,11 +536,11 @@ let bxor a b =
   count ();
   check_same_width "bxor" a b;
   match a.node, b.node with
-  | Bv_const x, Bv_const y -> const (Bv.logxor x y)
+  | Bv_const x, Bv_const y -> const_bits (width a) (Int64.logxor (bits x) (bits y))
   | Bv_const x, _ when Bv.is_zero x -> b
   | _, Bv_const y when Bv.is_zero y -> a
   | _ ->
-    if a == b then const (Bv.zero (width a))
+    if a == b then zero (width a)
     else
       let a, b = commute a b in
       mk_bin Xor a b
@@ -516,20 +548,35 @@ let bxor a b =
 let bnot a =
   count ();
   match a.node with
-  | Bv_const x -> const (Bv.lognot x)
+  | Bv_const x ->
+    let w = width a in
+    const_bits w (mask w (Int64.lognot (bits x)))
   | Bnot x -> x
   | _ -> mk_bnot a
+
+(* An amount at or above the width shifts every bit out: [shl] and
+   [lshr] give zero, [ashr] copies of the sign bit, as shifting by
+   [w - 1] does. *)
+let[@inline] shift_bits op w x n =
+  let out = n < 0L || n >= Int64.of_int w in
+  match op with
+  | Shl -> if out then 0L else mask w (Int64.shift_left x (Int64.to_int n))
+  | Lshr -> if out then 0L else Int64.shift_right_logical x (Int64.to_int n)
+  | _ ->
+    let n = if out then w - 1 else Int64.to_int n in
+    mask w (Int64.shift_right (signed w x) n)
 
 let shift name op a b =
   count ();
   check_same_width name a b;
+  let w = width a in
   match a.node, b.node with
-  | Bv_const x, Bv_const y -> const (bin_fold op x y)
+  | Bv_const x, Bv_const y -> const_bits w (shift_bits op w (bits x) (bits y))
   | _, Bv_const y when Bv.is_zero y -> a
   | _, Bv_const y
     when (op = Shl || op = Lshr)
-         && Int64.unsigned_compare (Bv.to_int64 y) (Int64.of_int (width a)) >= 0 ->
-    const (Bv.zero (width a))
+         && Int64.unsigned_compare (Bv.to_int64 y) (Int64.of_int w) >= 0 ->
+    zero w
   | _ -> mk_bin op a b
 
 let shl a b = shift "shl" Shl a b
@@ -543,11 +590,12 @@ let rec extract ~hi ~lo t =
   if lo = 0 && hi = w - 1 then t
   else
     match t.node with
-    | Bv_const v -> const (Bv.extract ~hi ~lo v)
+    | Bv_const v ->
+      let n = hi - lo + 1 in
+      const_bits n (mask n (Int64.shift_right_logical (bits v) lo))
     | Extract (_, lo', x) -> extract ~hi:(hi + lo') ~lo:(lo + lo') x
     | Zext (_, x) when hi < width x -> extract ~hi ~lo x
-    | Zext (_, x) when lo >= width x ->
-      const (Bv.zero (hi - lo + 1))
+    | Zext (_, x) when lo >= width x -> zero (hi - lo + 1)
     | Concat (_, l) when hi < width l -> extract ~hi ~lo l
     | Concat (h, l) when lo >= width l ->
       extract ~hi:(hi - width l) ~lo:(lo - width l) h
@@ -558,7 +606,8 @@ let concat a b =
   let wa = width a and wb = width b in
   if wa + wb > 64 then invalid_arg "Expr.concat: combined width exceeds 64";
   match a.node, b.node with
-  | Bv_const x, Bv_const y -> const (Bv.concat x y)
+  | Bv_const x, Bv_const y ->
+    const_bits (wa + wb) (Int64.logor (Int64.shift_left (bits x) wb) (bits y))
   | Bv_const x, _ when Bv.is_zero x -> mk_zext (wa + wb) b
   | _ -> mk_concat a b
 
@@ -569,7 +618,7 @@ let zext target t =
   if target = w then t
   else
     match t.node with
-    | Bv_const v -> const (Bv.zext (target - w) v)
+    | Bv_const v -> const_bits target (bits v)
     | Zext (_, x) -> mk_zext target x
     | _ -> mk_zext target t
 

@@ -72,7 +72,11 @@ val instruction_count : unit -> int
 val reset_instruction_count : unit -> unit
 val add_instructions : int -> unit
 (** Lets other layers (scheduler, TLM dispatch) account work as
-    executed instructions. *)
+    executed instructions.  Follows the constructors' rule: inside
+    {!without_counting} it adds nothing.  So a layer that skips
+    constructor calls whose results it already holds (as
+    [Symex.Mem.read32]'s word cache does) can add the count those
+    calls would have made, in every mode. *)
 
 val without_counting : (unit -> 'a) -> 'a
 (** Run [f] with instruction accounting suspended.  Term construction

@@ -4,11 +4,20 @@ module Bv = Smt.Bv
 (* Copy-on-write: [save] marks the array shared and returns it without
    copying, so snapshotting a memory is O(1); the first mutation after a
    share copies.  Cells are immutable terms, so sharing the array is the
-   only aliasing concern. *)
+   only aliasing concern.
+
+   [words] caches [read32]: for aligned word [k], slots [5k] to [5k + 3]
+   hold the byte terms it last assembled and slot [5k + 4] the word it
+   built.  Terms are hash-consed and the assembly is a pure function of
+   its four bytes, so while the bytes are physically the same terms the
+   cached word is the one assembly would find again.  Nothing else
+   needs invalidating: writes, [load] and [fill_zero] change the bytes
+   the check compares. *)
 type t = {
   mem_name : string;
   mutable data : Expr.t array;
   mutable shared : bool;
+  mutable words : Expr.t array;
   read_check : (string * string) Lazy.t;
   write_check : (string * string) Lazy.t;
 }
@@ -30,6 +39,7 @@ let create ~name ~size =
   { mem_name = name;
     data = Array.make size (Lazy.force byte_zero);
     shared = false;
+    words = [||];
     read_check = check_text name size "read";
     write_check = check_text name size "write" }
 
@@ -58,8 +68,8 @@ let load t data =
   t.shared <- true;
   t.data <- data
 
-let read32 t off =
-  let b i = Expr.zext 32 (read_byte t (off + i)) in
+let assemble32 bytes off =
+  let b i = Expr.zext 32 bytes.(off + i) in
   let w =
     Expr.bor (b 0)
       (Expr.bor
@@ -70,6 +80,33 @@ let read32 t off =
   in
   assert (Expr.width w = 32);
   w
+
+(* The operations [assemble32] counts: four [zext], three [shl], three
+   [bor].  A cache hit counts them too, so instruction totals do not
+   depend on what the cache holds. *)
+let assembly_ops = 10
+
+let read32 t off =
+  let d = t.data in
+  if off land 3 <> 0 || off + 4 > Array.length d then assemble32 d off
+  else begin
+    if Array.length t.words = 0 then
+      t.words <- Array.make (5 * (Array.length d / 4)) Expr.tru;
+    let c = t.words and k = 5 * (off / 4) in
+    if
+      c.(k) == d.(off) && c.(k + 1) == d.(off + 1) && c.(k + 2) == d.(off + 2)
+      && c.(k + 3) == d.(off + 3)
+    then begin
+      Expr.add_instructions assembly_ops;
+      c.(k + 4)
+    end
+    else begin
+      let w = assemble32 d off in
+      Array.blit d off c k 4;
+      c.(k + 4) <- w;
+      w
+    end
+  end
 
 let write32 t off v =
   if Expr.width v <> 32 then invalid_arg "Mem.write32: 32-bit value expected";

@@ -34,7 +34,15 @@ val read_byte : t -> int -> Smt.Expr.t
 val write_byte : t -> int -> Smt.Expr.t -> unit
 
 val read32 : t -> int -> Value.t
-(** Little-endian 32-bit read at a concrete byte offset. *)
+(** Little-endian 32-bit read at a concrete byte offset.  An aligned
+    read returns the word it built last time when the four bytes are
+    still physically the same terms, and counts the same instructions
+    as {!assemble32}. *)
+
+val assemble32 : Smt.Expr.t array -> int -> Value.t
+(** [assemble32 bytes off] is the little-endian word of
+    [bytes.(off)] to [bytes.(off + 3)], built without a cache: ten
+    counted operations. *)
 
 val write32 : t -> int -> Value.t -> unit
 (** Raises [Invalid_argument] unless the value is 32 bits wide, like

@@ -1588,20 +1588,40 @@ let serve ~host ~port ~workers ~label ~strategy ?cookie ?(backoff_seed = 0)
             Unix._exit code
           | pid -> pid)
     in
+    let drain pids =
+      List.iter (fun pid -> try Unix.kill pid Sys.sigterm with _ -> ()) pids
+    in
     (* Forward a drain request to every worker in the pool. *)
-    Sys.set_signal Sys.sigterm
-      (Sys.Signal_handle
-         (fun _ ->
-            List.iter
-              (fun pid -> try Unix.kill pid Sys.sigterm with _ -> ())
-              pids));
-    List.fold_left
-      (fun worst pid ->
-         match Unix.waitpid [] pid with
-         | _, Unix.WEXITED c -> max worst c
-         | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> max worst 1
-         | exception _ -> worst)
-      0 pids
+    Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> drain pids));
+    (* A worker exits 0 only on the master's [stop], a drain, or after
+       reporting a fatal error that ends the campaign; either way the
+       pool is done.  The master stops only the workers it registered,
+       so a sibling whose first dial came after the campaign ended
+       would redial the closed port forever: drain the rest once one
+       worker exits cleanly.  Poll, so no other child of the caller is
+       reaped. *)
+    let rec reap live worst =
+      if live = [] then worst
+      else begin
+        let ended, live =
+          List.partition_map
+            (fun pid ->
+               match Unix.waitpid [ Unix.WNOHANG ] pid with
+               | 0, _ -> Either.Right pid
+               | _, Unix.WEXITED c -> Either.Left (Some c)
+               | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> Either.Left (Some 1)
+               | exception Unix.Unix_error (Unix.EINTR, _, _) ->
+                 Either.Right pid
+               | exception _ -> Either.Left None)
+            live
+        in
+        let codes = List.filter_map Fun.id ended in
+        if List.mem 0 codes then drain live;
+        if ended = [] then Unix.sleepf 0.05;
+        reap live (List.fold_left max worst codes)
+      end
+    in
+    reap pids 0
   end
 
 (* ------------------------------------------------------------------ *)

@@ -251,8 +251,13 @@ val serve :
     [backoff_seed]; [max_dials] bounds consecutive failed dials (the
     default retries forever).  A [fatal] answer to the hello
     (label/strategy/cookie mismatch) is terminal, not retried.
-    SIGTERM drains the pool gracefully.  Returns the worst worker exit
-    code (0 = clean stop or drain). *)
+    SIGTERM drains the pool gracefully, and so does one worker's clean
+    exit: the master stops only the workers it registered, so a worker
+    that first dials after the campaign ended is drained instead of
+    redialing forever.  A pool none of whose workers registered cannot
+    tell a finished master from one not yet listening, and keeps
+    dialing up to [max_dials].  Returns the worst worker exit code
+    (0 = clean stop or drain). *)
 
 val fork_map :
   workers:int -> (int -> Obs.Json.t) -> (Obs.Json.t, string) Stdlib.result list

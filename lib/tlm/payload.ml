@@ -29,13 +29,7 @@ let make_write32 ~addr ~value =
 
 let data32 t =
   if Array.length t.data < 4 then invalid_arg "Payload.data32: fewer than 4 bytes";
-  let b i = Expr.zext 32 t.data.(i) in
-  Expr.bor (b 0)
-    (Expr.bor
-       (Expr.shl (b 1) (Expr.int ~width:32 8))
-       (Expr.bor
-          (Expr.shl (b 2) (Expr.int ~width:32 16))
-          (Expr.shl (b 3) (Expr.int ~width:32 24))))
+  Symex.Mem.assemble32 t.data 0
 
 let is_ok t = t.response = Ok_response
 

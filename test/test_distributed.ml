@@ -369,6 +369,57 @@ let test_cookie_mismatch_rejected () =
   Alcotest.(check bool) "master's campaign is unaffected" true
     (fingerprint dist = fingerprint seq)
 
+(* A campaign can end before every worker of a pool has registered: the
+   master stops the workers it knows and goes away, and a late sibling
+   finds its dial reset or refused.  The pool must still end, cleanly.
+   The test plays the master by hand: it welcomes and stops whichever
+   worker it accepts first, then closes the listener with the other's
+   dial unanswered.  The pool runs in its own process group so that a
+   failure can kill its workers too. *)
+let test_pool_ends_after_late_sibling () =
+  let l = Transport.listen ~host:"127.0.0.1" ~port:0 () in
+  let _, port = Transport.listener_addr l in
+  flush stdout;
+  flush stderr;
+  let kid =
+    match Unix.fork () with
+    | 0 ->
+      ignore (Unix.setsid ());
+      Unix.close (Transport.listener_fd l);
+      Obs.Progress.disable ();
+      Obs.Sink.reset ();
+      let code =
+        try
+          Pool.serve ~host:"127.0.0.1" ~port ~workers:2 ~label:"t1"
+            ~strategy:Search.Dfs
+            ~exec:(fun ~prefix:_ -> failwith "no unit is dispatched") ()
+        with _ -> 1
+      in
+      Unix._exit code
+    | pid -> pid
+  in
+  let c = Transport.accept l in
+  ignore (Transport.read_frame c);
+  Transport.write_frame c
+    (Obs.Json.Obj
+       [ ("cmd", Obs.Json.Str "welcome"); ("peer", Obs.Json.Int 0) ]);
+  Transport.write_frame c (Obs.Json.Obj [ ("cmd", Obs.Json.Str "stop") ]);
+  Transport.close c;
+  Transport.close_listener l;
+  let deadline = Unix.gettimeofday () +. 20.0 in
+  let rec await () =
+    match Unix.waitpid [ Unix.WNOHANG ] kid with
+    | 0, _ when Unix.gettimeofday () < deadline -> Unix.sleepf 0.02; await ()
+    | 0, _ ->
+      (try Unix.kill (-kid) Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] kid);
+      None
+    | _, Unix.WEXITED c -> Some c
+    | _, _ -> Some (-1)
+  in
+  Alcotest.(check (option int)) "pool exits cleanly within 20 s" (Some 0)
+    (await ())
+
 (* ------------------------------------------------------------------ *)
 (* Lease expiry on a slow holder                                       *)
 
@@ -434,6 +485,18 @@ let network_chaos_spec =
   | Ok spec -> spec
   | Error msg -> failwith msg
 
+let string_of_fingerprint (r : Report.t) =
+  let v, paths, completed, errored, infeasible, unknown, instructions,
+      exhausted, errors =
+    fingerprint r
+  in
+  Printf.sprintf
+    "%s, %d paths (%d completed, %d errored, %d infeasible, %d unknown), \
+     %d instructions, exhausted %b, errors [%s]"
+    (Report.verdict_to_string v) paths completed errored infeasible unknown
+    instructions exhausted
+    (String.concat "; " (List.map (fun (site, kind) -> site ^ " " ^ kind) errors))
+
 let check_network_chaos workers name () =
   let clean = Verify.run_test (scenario ~strategy:Search.Dfs ()) name in
   Fun.protect ~finally:Chaos.disable (fun () ->
@@ -442,12 +505,18 @@ let check_network_chaos workers name () =
         Verify.run_test
           (scenario ~strategy:Search.Dfs ~workers ()) name
       in
-      Alcotest.(check bool)
-        (Printf.sprintf
-           "fingerprint with network chaos at %d workers equals clean"
-           workers)
-        true
-        (fingerprint faulty = fingerprint clean))
+      if fingerprint faulty <> fingerprint clean then begin
+        let r = faulty.Report.engine.Engine.resilience in
+        Alcotest.failf
+          "fingerprint with network chaos at %d workers differs from clean\n\
+           clean:  %s\nfaulty: %s\n\
+           faulty ledger: requeued %d, worker deaths %d, quarantined %d, \
+           lease_expired %d, duplicates %d"
+          workers (string_of_fingerprint clean) (string_of_fingerprint faulty)
+          r.Engine.res_requeued r.Engine.res_worker_deaths
+          r.Engine.res_quarantined r.Engine.res_lease_expired
+          r.Engine.res_duplicates
+      end)
 
 let network_chaos_cases =
   List.concat_map
@@ -594,4 +663,6 @@ let suite =
      test_cookie_mismatch_rejected) ]
   @ tcp_equiv_cases @ network_chaos_cases
   @ [ ("transport: overlong frame header is malformed", `Quick,
-       test_overlong_header_is_malformed) ]
+       test_overlong_header_is_malformed);
+      ("distributed: a pool ends when its late sibling missed the campaign",
+       `Slow, test_pool_ends_after_late_sibling) ]

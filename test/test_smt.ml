@@ -235,9 +235,12 @@ let test_simplifier_soundness () =
 
 (* Hash-consing across table growth.  Random scripts over one fresh
    width-40 variable and width-40 constants run after [prefill] has
-   added 100,000 distinct constants, which doubles the table (65,536
-   slots, grown at half load) at least twice, so lookups cross rehashed
-   entries. *)
+   added 100,000 distinct constants, which doubles the table (4,096
+   slots at start, grown at half load) five or six times, so lookups
+   cross entries rehashed from their stored keys.  Between them the
+   steps build every node shape the table holds, and [prefill] checks
+   that 50 such scripts built before the growth find all their terms
+   after it. *)
 
 type hc_step =
   | Var_leaf
@@ -247,28 +250,30 @@ type hc_step =
   | Slice of int * int * int  (** [zext 40 (extract ~hi ~lo operand)] *)
   | Ite of int * int * int  (** [ite (ult a b) b c] *)
   | Not of int
+  | Binop of int * int * int  (** [hc_binops.(k) a b] *)
+  | Glue of int * int * int
+      (** [concat] of the low [k] bits of [a] and the low [40 - k] of [b] *)
+  | Widen of int * int  (** [sext 40] of the low [k + 1] bits of [a] *)
+  | Test of int * int * int * int
+      (** [ite] of two [hc_cmps.(k mod 5)] comparisons joined by
+          [hc_joins.(k / 5)], over [a], [b], [c] *)
 
 let hc_width = 40
+
+let hc_binops =
+  Expr.[| add; sub; mul; udiv; urem; sdiv; srem; band; bor; bxor; shl; lshr;
+          ashr |]
+
+let hc_cmps = Expr.[| eq; ult; ule; slt; sle |]
+
+(* The joins that negate build [Not] nodes: [not_] of an equality stays
+   a [Not], while [not_] of an order flips the comparison. *)
+let hc_joins =
+  Expr.[| and_; or_; (fun p q -> and_ (not_ p) q); (fun p q -> or_ p (not_ q)) |]
 
 (* A fresh variable takes the next id without entering the table, so
    its id marks how many ids were handed out before it. *)
 let next_id () = (Expr.fresh_var "mark" 1).Expr.id
-
-(* The constants 0..99,999, and whether those it built have ids in
-   construction order. *)
-let prefill =
-  lazy
-    (let start = next_id () in
-     let consts = Array.init 100_000 (fun v -> Expr.int ~width:hc_width v) in
-     let last = ref start and ordered = ref true in
-     Array.iter
-       (fun t ->
-          if t.Expr.id > start then begin
-            ordered := !ordered && t.Expr.id > !last;
-            last := t.Expr.id
-          end)
-       consts;
-     (consts, !ordered))
 
 let string_of_hc_step = function
   | Var_leaf -> "x"
@@ -278,6 +283,10 @@ let string_of_hc_step = function
   | Slice (a, hi, lo) -> Printf.sprintf "slice %d %d %d" a hi lo
   | Ite (a, b, c) -> Printf.sprintf "ite %d %d %d" a b c
   | Not a -> Printf.sprintf "not %d" a
+  | Binop (k, a, b) -> Printf.sprintf "binop %d %d %d" k a b
+  | Glue (k, a, b) -> Printf.sprintf "glue %d %d %d" k a b
+  | Widen (k, a) -> Printf.sprintf "widen %d %d" k a
+  | Test (k, a, b, c) -> Printf.sprintf "test %d %d %d %d" k a b c
 
 let arb_hc_script =
   let open QCheck in
@@ -295,7 +304,14 @@ let arb_hc_script =
         (2, Gen.map2 (fun a b -> Xor (a, b)) idx idx);
         (2, Gen.map3 (fun a hi lo -> Slice (a, hi, lo)) idx bit bit);
         (1, Gen.map3 (fun a b c -> Ite (a, b, c)) idx idx idx);
-        (1, Gen.map (fun a -> Not a) idx) ]
+        (1, Gen.map (fun a -> Not a) idx);
+        (2, Gen.map3 (fun k a b -> Binop (k, a, b))
+              (Gen.int_bound (Array.length hc_binops - 1)) idx idx);
+        (1, Gen.map3 (fun k a b -> Glue (k, a, b))
+              (Gen.int_range 1 (hc_width - 1)) idx idx);
+        (1, Gen.map2 (fun k a -> Widen (k, a)) (Gen.int_bound (hc_width - 2)) idx);
+        (2, Gen.map4 (fun k a b c -> Test (k, a, b, c))
+              (Gen.int_bound ((5 * Array.length hc_joins) - 1)) idx idx idx) ]
   in
   make
     ~print:(fun steps -> String.concat "; " (List.map string_of_hc_step steps))
@@ -318,10 +334,49 @@ let run_hc_script ?(after = ignore) x steps =
             Expr.zext hc_width
               (Expr.extract ~hi:(max hi lo) ~lo:(min hi lo) (arg a))
           | Ite (a, b, c) -> Expr.ite (Expr.ult (arg a) (arg b)) (arg b) (arg c)
-          | Not a -> Expr.bnot (arg a));
+          | Not a -> Expr.bnot (arg a)
+          | Binop (k, a, b) -> hc_binops.(k) (arg a) (arg b)
+          | Glue (k, a, b) ->
+            Expr.concat
+              (Expr.extract ~hi:(k - 1) ~lo:0 (arg a))
+              (Expr.extract ~hi:(hc_width - k - 1) ~lo:0 (arg b))
+          | Widen (k, a) -> Expr.sext hc_width (Expr.extract ~hi:k ~lo:0 (arg a))
+          | Test (k, a, b, c) ->
+            let cmp = hc_cmps.(k mod 5) in
+            Expr.ite
+              (hc_joins.(k / 5) (cmp (arg a) (arg b)) (cmp (arg b) (arg c)))
+              (arg a) (arg c));
        after i)
     steps;
   r
+
+(* The constants 0..99,999; whether those it built have ids in
+   construction order; and whether 50 scripts run before it rebuild the
+   same terms after it without a new id. *)
+let prefill =
+  lazy
+    (let x = Expr.fresh_var "x" hc_width in
+     let scripts =
+       QCheck.Gen.generate ~rand:(Random.State.make [| 5 |]) ~n:50
+         (QCheck.gen arb_hc_script)
+     in
+     let before = List.map (run_hc_script x) scripts in
+     let start = next_id () in
+     let consts = Array.init 100_000 (fun v -> Expr.int ~width:hc_width v) in
+     let last = ref start and ordered = ref true in
+     Array.iter
+       (fun t ->
+          if t.Expr.id > start then begin
+            ordered := !ordered && t.Expr.id > !last;
+            last := t.Expr.id
+          end)
+       consts;
+     let mark = next_id () in
+     let after = List.map (run_hc_script x) scripts in
+     let survived =
+       List.for_all2 (Array.for_all2 ( == )) before after && next_id () = mark + 1
+     in
+     (consts, !ordered && survived))
 
 let rec bit_length v = if v = 0 then 0 else 1 + bit_length (v lsr 1)
 
@@ -389,6 +444,145 @@ let prop_hash_consing_contract =
           in
           prefill_ordered && ordered && Array.for_all2 ( == ) first again
           && nothing_new && routes_agree))
+
+(* Constant folding against [Bv] at every width.  Widths lean on the
+   edges a fold can get wrong by masking (1, 8, 32, 63, 64); values on
+   zero, all-ones and the top bit; shift amounts on the width and
+   above.  Every fold must land on the very term [Expr.const] gives for
+   [Bv]'s result. *)
+
+type fold_case = {
+  fw : int;
+  fx : Bv.t;
+  fy : Bv.t;
+  famt : Bv.t;  (** shift amount *)
+  fz : Bv.t;  (** low part of a [concat], width [fw2] *)
+  fw2 : int;
+  fhi : int;
+  flo : int;
+  ftarget : int;  (** [zext]/[sext] target *)
+  fint : int;  (** argument of [Expr.int] *)
+}
+
+let gen_fold_case =
+  let open QCheck.Gen in
+  let width = frequency [ (3, oneofl [ 1; 8; 32; 63; 64 ]); (2, int_range 1 64) ] in
+  let value w =
+    let top = Int64.shift_left 1L (w - 1) in
+    map (Bv.make ~width:w)
+      (frequency
+         [ (1, return 0L); (1, return (-1L)); (1, return top);
+           (1, map (Int64.logor top) ui64); (1, map Int64.of_int small_nat);
+           (3, ui64) ])
+  in
+  let amount w =
+    map (Bv.make ~width:w)
+      (frequency
+         [ (2, map Int64.of_int (int_bound (w - 1))); (1, return (Int64.of_int w));
+           (1, map (fun d -> Int64.of_int (w + d)) (int_range 1 70));
+           (1, return (-1L)); (1, ui64) ])
+  in
+  let fint =
+    frequency
+      [ (3, neg_int); (1, return (-1)); (1, return min_int); (1, return max_int);
+        (1, int) ]
+  in
+  width >>= fun fw ->
+  value fw >>= fun fx ->
+  value fw >>= fun fy ->
+  amount fw >>= fun famt ->
+  int_range 1 (max 1 (64 - fw)) >>= fun fw2 ->
+  value fw2 >>= fun fz ->
+  int_bound (fw - 1) >>= fun a ->
+  int_bound (fw - 1) >>= fun b ->
+  int_range fw 64 >>= fun ftarget ->
+  fint >>= fun fint ->
+  return
+    { fw; fx; fy; famt; fz; fw2; fhi = max a b; flo = min a b; ftarget; fint }
+
+let print_fold_case c =
+  Printf.sprintf "w=%d x=%s y=%s amt=%s z=%s hi=%d lo=%d target=%d int=%d" c.fw
+    (Bv.to_string c.fx) (Bv.to_string c.fy) (Bv.to_string c.famt)
+    (Bv.to_string c.fz) c.fhi c.flo c.ftarget c.fint
+
+(* One variable per width, for the [c1 + (c2 + z)] rewrite. *)
+let fold_vars = Array.init 65 (fun w -> lazy (Expr.fresh_var "z" (max w 1)))
+
+let prop_folding_equals_bv =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:1000
+       ~name:"expr: constant folding equals Bv at every width"
+       (QCheck.make ~print:print_fold_case gen_fold_case)
+       (fun c ->
+          let k = Expr.const c.fx and l = Expr.const c.fy in
+          let s = Expr.const c.famt and z = Lazy.force fold_vars.(c.fw) in
+          let folds =
+            [ ("add", Expr.add k l, Bv.add c.fx c.fy);
+              ("sub", Expr.sub k l, Bv.sub c.fx c.fy);
+              ("mul", Expr.mul k l, Bv.mul c.fx c.fy);
+              ("udiv", Expr.udiv k l, Bv.udiv c.fx c.fy);
+              ("urem", Expr.urem k l, Bv.urem c.fx c.fy);
+              ("sdiv", Expr.sdiv k l, Bv.sdiv c.fx c.fy);
+              ("srem", Expr.srem k l, Bv.srem c.fx c.fy);
+              ("neg", Expr.neg k, Bv.neg c.fx);
+              ("band", Expr.band k l, Bv.logand c.fx c.fy);
+              ("bor", Expr.bor k l, Bv.logor c.fx c.fy);
+              ("bxor", Expr.bxor k l, Bv.logxor c.fx c.fy);
+              ("bnot", Expr.bnot k, Bv.lognot c.fx);
+              ("shl", Expr.shl k s, Bv.shl c.fx c.famt);
+              ("lshr", Expr.lshr k s, Bv.lshr c.fx c.famt);
+              ("ashr", Expr.ashr k s, Bv.ashr c.fx c.famt);
+              ("extract", Expr.extract ~hi:c.fhi ~lo:c.flo k,
+               Bv.extract ~hi:c.fhi ~lo:c.flo c.fx);
+              ("zext", Expr.zext c.ftarget k, Bv.zext (c.ftarget - c.fw) c.fx);
+              ("sext", Expr.sext c.ftarget k, Bv.sext (c.ftarget - c.fw) c.fx);
+              ("int", Expr.int ~width:c.fw c.fint, Bv.of_int ~width:c.fw c.fint) ]
+            @ (if c.fw = 64 then []
+               else
+                 [ ("concat", Expr.concat k (Expr.const c.fz), Bv.concat c.fx c.fz) ])
+          in
+          let nested =
+            (* c1 + (c2 + z) folds the two constants *)
+            ( "add c1 (add c2 z)", Expr.add k (Expr.add l z),
+              Expr.add (Expr.const (Bv.add c.fx c.fy)) z )
+          in
+          let wrong =
+            List.filter
+              (fun (_, got, want) -> got != want)
+              (nested :: List.map (fun (name, t, v) -> (name, t, Expr.const v)) folds)
+          in
+          match wrong with
+          | [] -> true
+          | _ ->
+            QCheck.Test.fail_reportf "%s"
+              (String.concat "; "
+                 (List.map
+                    (fun (name, got, want) ->
+                       Printf.sprintf "%s gave %s, not %s" name (Expr.to_string got)
+                         (Expr.to_string want))
+                    wrong))))
+
+(* After a warm-up every result below is resident, so each call finds
+   its constant by key and builds nothing.  Building the [Bv.t] before
+   the probe would take at least 12 words a call. *)
+let test_resident_fold_allocates_nothing () =
+  let a = Expr.int ~width:32 0x1200 and b = Expr.int ~width:32 0x34 in
+  let byte = Expr.int ~width:8 0xA5 and wide = Expr.int ~width:64 0x1234_5678_9ABC in
+  let run () =
+    for _ = 1 to 1000 do
+      ignore (Sys.opaque_identity (Expr.int ~width:32 0x1234));
+      ignore (Sys.opaque_identity (Expr.bor a b));
+      ignore (Sys.opaque_identity (Expr.zext 32 byte));
+      ignore (Sys.opaque_identity (Expr.extract ~hi:23 ~lo:8 wide))
+    done
+  in
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "4,000 resident folds took %.0f minor words (< 100)" words)
+    true (words < 100.)
 
 (* ------------------------------------------------------------------ *)
 (* Interval                                                            *)
@@ -1515,4 +1709,7 @@ let suite =
       prop_fixed_arity_adds_match_add_clause;
       prop_bitblast_reset_equals_fresh;
       ("sat: search pinned across activity rescaling", `Quick,
-       test_sat_rescale_pinned) ]
+       test_sat_rescale_pinned);
+      prop_folding_equals_bv;
+      ("expr: folding onto a resident constant allocates nothing", `Quick,
+       test_resident_fold_allocates_nothing) ]

@@ -315,6 +315,94 @@ let test_mem_write32_width_checked () =
     (Invalid_argument "Mem.write32: 32-bit value expected") (fun () ->
         Mem.write32 m 0 (Expr.int ~width:64 7))
 
+(* [Mem.read32]'s word cache is never stale and counts like a miss.
+   Random scripts over one 16-byte memory write constant and symbolic
+   bytes and words, save states and load earlier ones, and read aligned
+   words, some with counting suspended.  Each read must be the very
+   term the test's own assembly of the current bytes gives, and must
+   count the assembly's ten operations, or none inside
+   [without_counting]. *)
+
+type mem_step =
+  | Put_byte of int * int  (** offset, [mem_bytes] index *)
+  | Put_word of int * int  (** word index, [mem_words] index *)
+  | Save
+  | Load of int  (** an earlier [Save], counted back from the latest *)
+  | Get of int * bool  (** word index, counted *)
+
+let mem_bytes =
+  lazy
+    (Array.append
+       (Array.map (Expr.int ~width:8) [| 0; 1; 0x80; 0xFF |])
+       (Array.init 3 (fun i -> Expr.fresh_var (Printf.sprintf "b%d" i) 8)))
+
+let mem_words =
+  lazy
+    (Array.append
+       (Array.map e_int [| 0; 1; 0x8000_0000; 0xFFFF_FFFF; 0x0102_0304 |])
+       (Array.init 2 (fun i -> Expr.fresh_var (Printf.sprintf "w%d" i) 32)))
+
+let string_of_mem_step = function
+  | Put_byte (o, b) -> Printf.sprintf "byte %d := %d" o b
+  | Put_word (k, w) -> Printf.sprintf "word %d := %d" k w
+  | Save -> "save"
+  | Load j -> Printf.sprintf "load %d" j
+  | Get (k, counted) -> Printf.sprintf "get %d%s" k (if counted then "" else " uncounted")
+
+let arb_mem_script =
+  let open QCheck in
+  let step =
+    Gen.frequency
+      [ (3, Gen.map2 (fun o b -> Put_byte (o, b)) (Gen.int_bound 15) (Gen.int_bound 6));
+        (1, Gen.map2 (fun k w -> Put_word (k, w)) (Gen.int_bound 3) (Gen.int_bound 6));
+        (1, Gen.return Save);
+        (1, Gen.map (fun j -> Load j) (Gen.int_bound 7));
+        (5, Gen.map2 (fun k c -> Get (k, c)) (Gen.int_bound 3)
+              (Gen.frequency [ (3, Gen.return true); (1, Gen.return false) ])) ]
+  in
+  make
+    ~print:(fun steps -> String.concat "; " (List.map string_of_mem_step steps))
+    Gen.(list_size (int_range 1 40) step)
+
+let prop_mem_cached_read32 =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"mem: cached read32 equals a fresh assembly"
+       arb_mem_script
+       (fun steps ->
+          let bytes = Lazy.force mem_bytes and words = Lazy.force mem_words in
+          let m = Mem.create ~name:"m" ~size:16 in
+          let saved = ref [] in
+          let assembled off =
+            let b i = Expr.zext 32 (Mem.read_byte m (off + i)) in
+            Expr.bor (b 0)
+              (Expr.bor
+                 (Expr.shl (b 1) (e_int 8))
+                 (Expr.bor (Expr.shl (b 2) (e_int 16)) (Expr.shl (b 3) (e_int 24))))
+          in
+          List.iter
+            (function
+              | Put_byte (o, b) -> Mem.write_byte m o bytes.(b)
+              | Put_word (k, w) -> Mem.write32 m (4 * k) words.(w)
+              | Save -> saved := Mem.save m :: !saved
+              | Load j ->
+                if !saved <> [] then
+                  Mem.load m (List.nth !saved (j mod List.length !saved))
+              | Get (k, counted) ->
+                let before = Expr.instruction_count () in
+                let w =
+                  if counted then Mem.read32 m (4 * k)
+                  else Expr.without_counting (fun () -> Mem.read32 m (4 * k))
+                in
+                let ops = Expr.instruction_count () - before in
+                let fresh = Expr.without_counting (fun () -> assembled (4 * k)) in
+                if w != fresh then
+                  QCheck.Test.fail_reportf "word %d read %s, bytes assemble to %s" k
+                    (Expr.to_string w) (Expr.to_string fresh);
+                if ops <> (if counted then 10 else 0) then
+                  QCheck.Test.fail_reportf "word %d counted %d operations" k ops)
+            steps;
+          true))
+
 (* ------------------------------------------------------------------ *)
 (* Solver resource limits                                              *)
 
@@ -775,4 +863,5 @@ let suite =
         in
         Alcotest.(check bool) "site-a covered" true (count "site-a" >= 2);
         Alcotest.(check bool) "site-b covered" true (count "site-b" >= 2));
+    prop_mem_cached_read32;
   ]
