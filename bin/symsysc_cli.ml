@@ -192,16 +192,6 @@ let no_validate =
   in
   Arg.(value & flag & info [ "no-validate" ] ~doc)
 
-let no_snapshots =
-  let doc =
-    "Disable snapshot forking (re-execute every forked path from the \
-     root by replaying its recorded decision prefix instead of \
-     fast-forwarding through the parent's syscall log).  Verdicts, bug \
-     sites and instruction counts are identical either way; only \
-     re-execution cost differs."
-  in
-  Arg.(value & flag & info [ "no-snapshots" ] ~doc)
-
 let chaos_spec =
   let parse s =
     match Chaos.parse_spec s with
@@ -248,7 +238,7 @@ let scenario_term =
   let make interrupts t5_len max_paths max_seconds max_solver_conflicts
       solver_timeout_ms max_memory_mb seed solver_cache_cap no_independence
       no_incremental strategy workers heartbeat_ms listen lease_ms
-      solver_retries no_validate no_snapshots chaos_spec chaos_seed =
+      solver_retries no_validate chaos_spec chaos_seed =
     Smt.Solver.set_independence (not no_independence);
     Smt.Solver.set_incremental (not no_incremental);
     Option.iter (fun cap -> Smt.Solver.set_cache_capacity ~query:cap ())
@@ -273,14 +263,14 @@ let scenario_term =
     Symsysc.Verify.scenario ~num_sources:interrupts ~t5_max_len:t5_len
       ?max_paths ?max_seconds ?max_solver_conflicts ?solver_timeout_ms
       ?max_memory_mb ?seed ?strategy ~workers ?heartbeat_ms ?listen ?lease_ms
-      ~validate:(not no_validate) ~snapshots:(not no_snapshots) ()
+      ~validate:(not no_validate) ()
   in
   Term.(
     const make $ interrupts $ t5_len $ max_paths $ max_seconds
     $ max_solver_conflicts $ solver_timeout_ms $ max_memory_mb $ seed
     $ solver_cache_cap $ no_independence $ no_incremental $ strategy
     $ workers $ heartbeat_ms $ listen $ lease_ms $ solver_retries
-    $ no_validate $ no_snapshots $ chaos_spec $ chaos_seed)
+    $ no_validate $ chaos_spec $ chaos_seed)
 
 (* ---- observability options ---- *)
 

@@ -138,8 +138,6 @@ let restore t s =
     (drop extra t.ports) s.sn_ports;
   Pk.Process.Fsm.set t.timer_fsm s.sn_fsm
 
-type Engine.component_state += Clint_state of snap
-
 let spawn_timer_thread t =
   let fsm = t.timer_fsm in
   let body () =
@@ -185,11 +183,6 @@ let create ?(policy = Tlm.Register.Fixed) cfg sched =
        ~pre_read:(fun () -> Mem.write64 t.mtime 0 (mtime_now t))
        t.mtime);
   spawn_timer_thread t;
-  Engine.register_component
-    ~save:(fun () -> Clint_state (snapshot t))
-    ~restore:(function
-      | Clint_state s -> restore t s
-      | _ -> assert false);
   t.reset_snap <- Some (snapshot t);
   t
 

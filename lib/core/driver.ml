@@ -61,7 +61,7 @@ let rec exec ~sched ~bus env instr =
     bind env into (Payload.data32 p)
   | Assume (_, f) -> Engine.assume (f env)
   | Check (site, f) -> Engine.check ~site (f env)
-  | Step -> ignore (Tlm.Peripheral.step sched)
+  | Step -> ignore (Pk.Scheduler.step sched)
   | Repeat (n, body) ->
     for _ = 1 to n do
       List.iter (exec ~sched ~bus env) body

@@ -49,21 +49,10 @@ let resilience_suffix (r : Engine.resilience) =
   | [] -> ""
   | _ -> Printf.sprintf " [%s]" (String.concat ", " parts)
 
-(* Like resilience: snapshot forking only earns a mention when it did
-   something (a --no-snapshots run stays on the plain one-liner). *)
-let snapshot_suffix (e : Engine.report) =
-  if e.Engine.snapshot_restores = 0 && e.Engine.replay_fallbacks = 0 then ""
-  else
-    Printf.sprintf " [%d snapshot restores saved %d instr%s]"
-      e.Engine.snapshot_restores e.Engine.instructions_saved
-      (if e.Engine.replay_fallbacks > 0 then
-         Printf.sprintf ", %d replay fallbacks" e.Engine.replay_fallbacks
-       else "")
-
 let pp ppf t =
   Format.fprintf ppf
     "%s: %s — %d instr, %.2fs, %d paths, %.2f%% solver, %d queries, \
-     %.1f%% cache%s%s%s%s"
+     %.1f%% cache%s%s%s"
     t.test_name
     (verdict_to_string t.verdict)
     t.engine.Engine.instructions t.engine.Engine.wall_time
@@ -75,7 +64,6 @@ let pp ppf t =
      | Some r ->
        Printf.sprintf " (stopped: %s)" (Symex.Budget.reason_to_string r)
      | None -> if t.engine.Engine.exhausted then "" else " (degraded)")
-    (snapshot_suffix t.engine)
     (resilience_suffix t.engine.Engine.resilience)
     (if t.engine.Engine.events_dropped > 0 then
        Printf.sprintf " [%d trace events dropped]"
@@ -142,10 +130,6 @@ let record_metrics t =
   gi "symsysc_engine_paths_infeasible" e.Engine.paths_infeasible;
   gi "symsysc_engine_paths_unknown" e.Engine.paths_unknown;
   gi "symsysc_engine_instructions" e.Engine.instructions;
-  gi "symsysc_engine_snapshots_taken" e.Engine.snapshots_taken;
-  gi "symsysc_engine_snapshot_restores" e.Engine.snapshot_restores;
-  gi "symsysc_engine_replay_fallbacks" e.Engine.replay_fallbacks;
-  gi "symsysc_engine_instructions_saved" e.Engine.instructions_saved;
   gi "symsysc_engine_errors" (List.length e.Engine.errors);
   g "symsysc_engine_wall_seconds" e.Engine.wall_time;
   g "symsysc_solver_seconds" e.Engine.solver_time;
@@ -264,13 +248,6 @@ let to_json t =
       ("paths_infeasible", Int e.Engine.paths_infeasible);
       ("paths_unknown", Int e.Engine.paths_unknown);
       ("instructions", Int e.Engine.instructions);
-      (* Snapshot accounting is mode-dependent by design (a --no-snapshots
-         run reports zeros), so CI equivalence diffs must not compare
-         these four — Diff.compare_reports deliberately skips them. *)
-      ("snapshots_taken", Int e.Engine.snapshots_taken);
-      ("snapshot_restores", Int e.Engine.snapshot_restores);
-      ("replay_fallbacks", Int e.Engine.replay_fallbacks);
-      ("instructions_saved", Int e.Engine.instructions_saved);
       ("wall_time", Float e.Engine.wall_time);
       ("solver_time", Float e.Engine.solver_time);
       ("solver_queries", Int e.Engine.solver_queries);

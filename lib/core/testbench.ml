@@ -12,7 +12,6 @@ type duv = {
 let setup ?(variant = Plic.Config.Original) ?(faults = []) cfg =
   let sched = Pk.Scheduler.create () in
   Pk.Sc_compat.sc_set_context sched;
-  Tlm.Peripheral.track_scheduler sched;
   let dut =
     Plic.Peripheral.make
       { Plic.Peripheral.pc_variant = variant; pc_faults = faults; pc_cfg = cfg }
@@ -21,13 +20,13 @@ let setup ?(variant = Plic.Config.Original) ?(faults = []) cfg =
   let hart = Plic.Hart.create () in
   Plic.connect_hart dut 0 hart;
   (* Initialization phase: run threads until their first wait. *)
-  Tlm.Peripheral.run_ready sched;
+  Pk.Scheduler.run_ready sched;
   { sched; dut; hart }
 
 let klee_int name = Engine.fresh32 name
 let klee_assume cond = Engine.assume cond
 let klee_assert ~site ?message cond = Engine.check ~site ?message cond
-let pkernel_step duv = Tlm.Peripheral.step duv.sched
+let pkernel_step duv = Pk.Scheduler.step duv.sched
 
 let transport duv payload =
   ignore (Plic.Peripheral.serve duv.dut payload Pk.Sc_time.zero);

@@ -56,7 +56,7 @@ let params_signature (p : Tests.params) =
 let scenario ?(num_sources = 8) ?(t5_max_len = 16) ?session ?max_paths
     ?max_seconds ?max_solver_conflicts ?solver_timeout_ms ?max_memory_mb
     ?stop_after_errors ?seed ?workers ?heartbeat_ms ?listen ?lease_ms
-    ?validate ?snapshots ?strategy () =
+    ?validate ?strategy () =
   let params = Tests.scaled_params ~num_sources ~t5_max_len in
   let session =
     match session with
@@ -71,7 +71,7 @@ let scenario ?(num_sources = 8) ?(t5_max_len = 16) ?session ?max_paths
             solver_timeout_ms;
             max_memory_mb }
         ?stop_after_errors ?seed ?workers ?heartbeat_ms ?listen ?lease_ms
-        ~cookie:(params_signature params) ?validate ?snapshots ()
+        ~cookie:(params_signature params) ?validate ()
   in
   { params; session }
 

@@ -51,7 +51,6 @@ val scenario :
   ?listen:Symex.Transport.listener ->
   ?lease_ms:int ->
   ?validate:bool ->
-  ?snapshots:bool ->
   ?strategy:Symex.Search.strategy ->
   unit ->
   scenario

@@ -100,52 +100,19 @@ let ensure_size c size =
     c.c_write_bytes <- grown c.c_write_bytes n
   | Some _ | None -> ()
 
-(* ---- recording tap ----
-
-   The symbolic engine installs a tap around logged peripheral calls so
-   it can replay the exact coverage deltas when it later skips the call
-   (snapshot forking).  The event is only materialized when a tap is
-   installed; recording itself is unchanged. *)
-
-type event =
-  | Ev_read of {
-      peripheral : string;
-      register : string;
-      size : int option;
-      off : int option;
-      len : int option;
-    }
-  | Ev_write of {
-      peripheral : string;
-      register : string;
-      size : int option;
-      off : int option;
-      len : int option;
-    }
-  | Ev_arm of { site : string; dir : bool }
-
-let tap : (event -> unit) option ref = ref None
-
 let record_read ~peripheral ~register ?size ?off ?len () =
-  (match !tap with
-   | Some f -> f (Ev_read { peripheral; register; size; off; len })
-   | None -> ());
   let c = reg_cell ~peripheral ~register in
   ensure_size c size;
   c.c_reads <- c.c_reads + 1;
   mark c.c_read_bytes c.c_size off len
 
 let record_write ~peripheral ~register ?size ?off ?len () =
-  (match !tap with
-   | Some f -> f (Ev_write { peripheral; register; size; off; len })
-   | None -> ());
   let c = reg_cell ~peripheral ~register in
   ensure_size c size;
   c.c_writes <- c.c_writes + 1;
   mark c.c_write_bytes c.c_size off len
 
 let record_arm ~site dir =
-  (match !tap with Some f -> f (Ev_arm { site; dir }) | None -> ());
   let c =
     match Hashtbl.find_opt arm_tbl site with
     | Some c -> c
@@ -155,13 +122,6 @@ let record_arm ~site dir =
       c
   in
   if dir then c.a_true <- c.a_true + 1 else c.a_false <- c.a_false + 1
-
-let replay = function
-  | Ev_read { peripheral; register; size; off; len } ->
-    record_read ~peripheral ~register ?size ?off ?len ()
-  | Ev_write { peripheral; register; size; off; len } ->
-    record_write ~peripheral ~register ?size ?off ?len ()
-  | Ev_arm { site; dir } -> record_arm ~site dir
 
 (* ---- snapshots (canonical: sorted assoc lists, copied arrays) ---- *)
 

@@ -56,37 +56,6 @@ val record_write :
 val record_arm : site:string -> bool -> unit
 (** One arm of the decision site was taken. *)
 
-(** {1 Recording tap}
-
-    The symbolic engine installs a tap around logged peripheral calls
-    to capture the coverage events they record; replaying those events
-    later reproduces the exact same counter deltas without re-executing
-    the call. *)
-
-type event =
-  | Ev_read of {
-      peripheral : string;
-      register : string;
-      size : int option;
-      off : int option;
-      len : int option;
-    }
-  | Ev_write of {
-      peripheral : string;
-      register : string;
-      size : int option;
-      off : int option;
-      len : int option;
-    }
-  | Ev_arm of { site : string; dir : bool }
-
-val tap : (event -> unit) option ref
-(** When set, every [record_*] call also passes its event to the tap
-    (recording still happens normally). *)
-
-val replay : event -> unit
-(** Re-apply a tapped event to the global registry. *)
-
 (** {1 Snapshots and delta arithmetic} *)
 
 val get : unit -> t

@@ -12,27 +12,12 @@ type t = {
 
 let next_id = ref 0
 
-(* Registry of live events by id, so scheduler snapshots can store bare
-   ids and resolve them against the current run's objects on restore.
-   The symbolic engine resets it at every path start (ids are then
-   deterministic per path); outside the engine it simply accumulates. *)
-let registry : (int, t) Hashtbl.t = Hashtbl.create 64
-
 let make ev_name =
   let ev_id = !next_id in
   incr next_id;
-  let t = { ev_name; ev_id; waiters = []; pending = Not_notified } in
-  Hashtbl.replace registry ev_id t;
-  t
+  { ev_name; ev_id; waiters = []; pending = Not_notified }
 
-let reset_ids () =
-  next_id := 0;
-  Hashtbl.reset registry
-
-let find id = Hashtbl.find_opt registry id
-
-let fold f acc =
-  Hashtbl.fold (fun _ ev acc -> f ev acc) registry acc
+let reset_ids () = next_id := 0
 
 let name t = t.ev_name
 

@@ -21,19 +21,14 @@ type t = {
 }
 
 val make : string -> t
-(** Allocate a fresh event with a unique id and register it in the
-    global id registry (see {!reset_ids}). *)
+(** Allocate a fresh event with the next id (see {!reset_ids}).  The
+    kernel keeps no table of events: one that nothing references is
+    garbage. *)
 
 val reset_ids : unit -> unit
-(** Reset the id counter and clear the id registry.  The symbolic
-    engine calls this at every path start so that events created by a
-    re-executed testbench get identical, deterministic ids. *)
-
-val find : int -> t option
-(** Look up a live event by id in the registry. *)
-
-val fold : (t -> 'a -> 'a) -> 'a -> 'a
-(** Fold over all registered events (unspecified order). *)
+(** Reset the id counter.  The symbolic engine calls this at every
+    path start so that events created by a re-executed testbench get
+    identical, deterministic ids. *)
 
 val name : t -> string
 val pp : Format.formatter -> t -> unit

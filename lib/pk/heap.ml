@@ -60,5 +60,4 @@ let pop t =
     Some min
   end
 
-let clear t = t.len <- 0
 let to_list t = Array.to_list (Array.sub t.data 0 t.len)

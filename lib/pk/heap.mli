@@ -13,7 +13,5 @@ val peek : 'a t -> 'a option
 val pop : 'a t -> 'a option
 (** Remove and return the minimum element. *)
 
-val clear : 'a t -> unit
-
 val to_list : 'a t -> 'a list
 (** Elements in arbitrary order (heap order, not sorted). *)

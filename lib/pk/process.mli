@@ -50,7 +50,8 @@ module Fsm : sig
   (** Current resume label (the static [position] variable). *)
 
   val set : 'label t -> 'label -> unit
-  (** Overwrite the resume label (used when restoring a snapshot). *)
+  (** Overwrite the resume label (used when a peripheral restores its
+      state, e.g. on [reset]). *)
 
   val suspend : 'label t -> at:'label -> wait -> wait
   (** Record the resume label and yield — the translated [wait()]. *)

@@ -277,135 +277,6 @@ let step t =
     run_ready t;
     true
 
-(* Structural snapshots.  Events and processes are referenced by id so
-   the state can be restored into a different run's freshly constructed
-   objects (the symbolic engine resets the id counters at path start, so
-   ids line up across re-executions of the same testbench prefix).  The
-   batch hook is deliberately not captured: it is installed by the
-   engine, not simulation state. *)
-
-type wake_state = W_event of int | W_process of int
-
-type entry_state = { en_at : Sc_time.t; en_seq : int; en_wake : wake_state }
-
-type event_state = {
-  es_id : int;
-  es_waiters : (int * int) list;
-  es_pending : Event.pending;
-}
-
-type state = {
-  s_time : Sc_time.t;
-  s_seq : int;
-  s_statuses : (int * Process.status) list;
-  s_epochs : (int * int) list;
-  s_ready : int list;
-  s_delta_events : int list;
-  s_delta_procs : int list;
-  s_wakelist : entry_state list;
-  s_events : event_state list;
-  s_activations : int;
-  s_delta_cycles : int;
-  s_events_fired : int;
-  s_time_advances : int;
-}
-
-let snapshot t =
-  let by_fst (a, _) (b, _) = Int.compare a b in
-  let statuses =
-    Hashtbl.fold
-      (fun pid (p : Process.t) acc -> (pid, p.Process.status) :: acc)
-      t.procs []
-    |> List.sort by_fst
-  in
-  let epochs =
-    Hashtbl.fold (fun pid e acc -> (pid, e) :: acc) t.epochs []
-    |> List.sort by_fst
-  in
-  let wakelist =
-    List.map
-      (fun e ->
-         { en_at = e.at;
-           en_seq = e.seq;
-           en_wake =
-             (match e.wake with
-              | Wake_event ev -> W_event ev.Event.ev_id
-              | Wake_process pid -> W_process pid) })
-      (Heap.to_list t.wakelist)
-  in
-  let events =
-    Event.fold
-      (fun (ev : Event.t) acc ->
-         { es_id = ev.Event.ev_id;
-           es_waiters = ev.Event.waiters;
-           es_pending = ev.Event.pending }
-         :: acc)
-      []
-    |> List.sort (fun a b -> Int.compare a.es_id b.es_id)
-  in
-  {
-    s_time = t.time;
-    s_seq = t.seq;
-    s_statuses = statuses;
-    s_epochs = epochs;
-    s_ready = t.ready;
-    s_delta_events =
-      List.map (fun (ev : Event.t) -> ev.Event.ev_id) t.delta_events;
-    s_delta_procs = t.delta_procs;
-    s_wakelist = wakelist;
-    s_events = events;
-    s_activations = t.activations;
-    s_delta_cycles = t.delta_cycles;
-    s_events_fired = t.events_fired;
-    s_time_advances = t.time_advances;
-  }
-
-let restore t s =
-  let event ~what id =
-    match Event.find id with
-    | Some ev -> ev
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Scheduler.restore: unknown event #%d in %s" id what)
-  in
-  t.time <- s.s_time;
-  t.seq <- s.s_seq;
-  List.iter
-    (fun (pid, status) ->
-       match Hashtbl.find_opt t.procs pid with
-       | Some p -> p.Process.status <- status
-       | None ->
-         invalid_arg
-           (Printf.sprintf "Scheduler.restore: unknown process #%d" pid))
-    s.s_statuses;
-  Hashtbl.reset t.epochs;
-  List.iter (fun (pid, e) -> Hashtbl.replace t.epochs pid e) s.s_epochs;
-  t.ready <- s.s_ready;
-  t.delta_procs <- s.s_delta_procs;
-  t.delta_events <- List.map (event ~what:"delta queue") s.s_delta_events;
-  List.iter
-    (fun es ->
-       let ev = event ~what:"event table" es.es_id in
-       ev.Event.waiters <- es.es_waiters;
-       ev.Event.pending <- es.es_pending)
-    s.s_events;
-  Heap.clear t.wakelist;
-  (* [entry_cmp] is a total order on (at, seq), so pop order does not
-     depend on the heap's internal layout after the rebuild. *)
-  List.iter
-    (fun en ->
-       let wake =
-         match en.en_wake with
-         | W_event id -> Wake_event (event ~what:"wakelist" id)
-         | W_process pid -> Wake_process pid
-       in
-       Heap.push t.wakelist { at = en.en_at; seq = en.en_seq; wake })
-    s.s_wakelist;
-  t.activations <- s.s_activations;
-  t.delta_cycles <- s.s_delta_cycles;
-  t.events_fired <- s.s_events_fired;
-  t.time_advances <- s.s_time_advances
-
 let run_until t limit =
   run_ready t;
   let continue = ref true in

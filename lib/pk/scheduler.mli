@@ -72,27 +72,6 @@ exception Activation_limit_exceeded
 (** Raised when a single [run_ready] performs more than a million
     activations — a runaway zero-delay loop in the model. *)
 
-(** {1 Structural snapshots}
-
-    A [state] captures the scheduler's complete dynamic state —
-    simulation time, process statuses and wait epochs, ready/delta
-    queues, the wakelist, and every registered event's waiters and
-    pending notification — with processes and events referenced by id.
-    Restoring resolves those ids against the {e current} run's objects
-    (via the {!Event} registry and the process table), so a snapshot
-    taken in one re-execution can be restored into another as long as
-    both created the same processes/events in the same order (the
-    symbolic engine guarantees this by resetting id counters at path
-    start).  The batch hook is not part of the state. *)
-
-type state
-
-val snapshot : t -> state
-
-val restore : t -> state -> unit
-(** Raises [Invalid_argument] when the state references a process or
-    event id the current run has not created. *)
-
 val set_batch_hook : t -> (int list -> int list) option -> unit
 (** Install a reordering hook over each evaluation batch (the process
     ids runnable at one instant).  The SystemC LRM leaves this order

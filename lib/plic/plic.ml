@@ -141,7 +141,7 @@ let notify_run t ~(id : Value.t) =
   in
   Pk.Scheduler.notify_at t.sched t.run_event delay
 
-let trigger_interrupt_body t id =
+let trigger_interrupt t id =
   let n = t.cfg.Config.num_sources in
   let bound = if fault_on t Fault.IF1 then n + 1 else n in
   let valid =
@@ -166,14 +166,6 @@ let trigger_interrupt_body t id =
       ~len:Value.one [| Expr.int ~width:8 1 |];
     notify_run t ~id
   end
-
-(* Logged like a TLM transport: the latch and scheduler notification
-   land in tracked components, so no payload effect is needed. *)
-let trigger_interrupt t id =
-  Engine.syscall
-    ~capture:(fun () -> Engine.Effect_none)
-    ~apply:(fun _ -> ())
-    (fun () -> trigger_interrupt_body t id)
 
 (* ---- claim / complete ---- *)
 
@@ -270,10 +262,6 @@ let restore t s =
     s.sn_harts;
   Pk.Process.Fsm.set t.run_fsm s.sn_fsm
 
-(* Engine-component hook: the whole device is one tracked component,
-   so a fast-forwarded path restores it without replaying transports. *)
-type Engine.component_state += Plic_state of snap
-
 (* ---- construction ---- *)
 
 let build_memory_map t =
@@ -348,11 +336,6 @@ let create ?(variant = Config.Original) ?(faults = []) cfg sched =
   in
   build_memory_map t;
   spawn_run_thread t;
-  Engine.register_component
-    ~save:(fun () -> Plic_state (snapshot t))
-    ~restore:(function
-      | Plic_state s -> restore t s
-      | _ -> assert false);
   t.reset_snap <- Some (snapshot t);
   t
 

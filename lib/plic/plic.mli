@@ -60,10 +60,9 @@ val reset : t -> unit
     hart flags, thread FSM); scheduler state is untouched. *)
 
 (** The unified peripheral surface ({!Tlm.Peripheral.S}): [make] maps
-    the memory map, spawns the run thread and registers the device as
-    an engine component; [snapshot]/[restore] capture the pending
-    latch, all register backings, eip lines, connected-hart flags and
-    the run-thread FSM position. *)
+    the memory map and spawns the run thread; [snapshot]/[restore]
+    capture the pending latch, all register backings, eip lines,
+    connected-hart flags and the run-thread FSM position. *)
 module Peripheral : sig
   type config = {
     pc_variant : Config.variant;

@@ -141,10 +141,11 @@ let insert tag a b c sort node =
   t
 
 (* Term construction performed by the solving machinery (feasibility
-   probes, negated query sides, scope mirroring) must not count as DUV
-   instructions: whether those probes run depends on the exploration
-   mode (live fork vs prescribed replay vs snapshot fast-forward), and
-   instruction totals are required to be identical across modes. *)
+   probes, negated query sides, scope assumptions) must not count as DUV
+   instructions: whether those probes run depends on whether a decision
+   is taken live or prescribed by a replayed prefix, and on solver
+   caches and scope history, while instruction totals are required to
+   be identical across strategies, worker counts and resumes. *)
 let counting = ref true
 let instructions = ref 0
 

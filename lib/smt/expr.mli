@@ -81,9 +81,11 @@ val add_instructions : int -> unit
 val without_counting : (unit -> 'a) -> 'a
 (** Run [f] with instruction accounting suspended.  Term construction
     performed by the solving machinery (feasibility probes, variational
-    branch queries, scope mirroring) is exploration overhead, not DUV
-    work — counting it would make the instruction total depend on which
-    queries a particular exploration mode happens to issue. *)
+    branch queries, scope assumptions) is exploration overhead, not DUV
+    work.  Whether it happens depends on whether a decision is taken
+    live or prescribed by a replayed prefix, and on solver caches and
+    scope history; counting it would make the instruction total depend
+    on the strategy, the worker count and where a run was resumed. *)
 
 (* Leaves. *)
 

@@ -18,14 +18,10 @@ type config = {
   strategy : Search.strategy;
   limits : limits;
   stop_after_errors : int option;
-  snapshots : bool;
 }
 
 let default_config =
-  { strategy = Search.Dfs;
-    limits = no_limits;
-    stop_after_errors = None;
-    snapshots = true }
+  { strategy = Search.Dfs; limits = no_limits; stop_after_errors = None }
 
 type checkpoint_policy = Checkpoint.policy = {
   write : Checkpoint.t -> unit;
@@ -82,7 +78,6 @@ type report = {
   coverage : Obs.Coverage.t;
   profile : Obs.Profile.t;
   events_dropped : int;
-  snapshots_taken : int;
   snapshot_restores : int;
   replay_fallbacks : int;
   instructions_saved : int;
@@ -98,61 +93,6 @@ exception Stop_exploration
 exception Replay_stop
 exception Replay_diverged of string
 
-(* ------------------------------------------------------------------ *)
-(* Snapshot forking (the syscall log)                                  *)
-
-(* Peripheral state snapshots are opaque to the engine: each tracked
-   component (a register backing store, a scheduler, a device's loose
-   mutable fields) contributes a save/restore closure pair, and the
-   state payloads live in an extensible variant so every library can
-   add its own without the engine depending on it. *)
-type component_state = ..
-type effect_data = ..
-type effect_data += Effect_none
-
-type component = {
-  comp_save : unit -> component_state;
-  comp_restore : component_state -> unit;
-}
-
-(* One completed engine-visible peripheral call ("syscall").  The entry
-   records the path bookkeeping *after* the call — the taken/pc/inputs/
-   visited lists share their tails across entries, so appending is O(1)
-   — plus everything needed to skip the call in a later re-execution:
-   the constraints it appended (to mirror into the incremental solver
-   scope), the visit/coverage events it recorded, the instructions it
-   executed, a snapshot of every tracked component, and the
-   caller-captured payload effect (return value, payload mutations). *)
-type syscall_entry = {
-  sc_pos : int;                    (* decisions taken when the call
-                                      completed — all of them are
-                                      prescribed in any forked child,
-                                      so fast-forward jumps [pos]
-                                      here *)
-  sc_taken : Decision.t list;
-  sc_pc : Expr.t list;
-  sc_new_pc : Expr.t list;         (* constraints added, oldest first *)
-  sc_inputs : (string * Expr.t) list;
-  sc_fresh_idx : int;
-  sc_visited : string list;
-  sc_new_visits : string list;     (* sites visited, oldest first *)
-  sc_cov : Obs.Coverage.event list;  (* coverage events, oldest first *)
-  sc_instr : int;                  (* instructions the call executed *)
-  sc_comps : component_state array;  (* in registration order *)
-  sc_effect : effect_data;
-}
-
-(* A frontier item: the decision prefix (always present — the canonical,
-   wire-safe representation) plus an optional snapshot, the forking
-   path's syscall log at fork time.  [None] means the snapshot is
-   unavailable (resume, requeue, cross-worker dispatch) and the path
-   replays its prefix from the root; [Some []] is a genuinely empty log
-   (the fork happened before the first completed syscall). *)
-type frontier_item = {
-  fi_prefix : Decision.t array;
-  fi_snap : syscall_entry list option;  (* newest first *)
-}
-
 type path_state = {
   prefix : Decision.t array;      (* prescribed decisions *)
   mutable pos : int;              (* prescribed decisions consumed *)
@@ -164,13 +104,6 @@ type path_state = {
                                      rollback when it is abandoned *)
   instr_start : int;              (* instructions_so_far at path start *)
   path_id : int;
-  mutable comps_rev : component list;  (* tracked components, newest first *)
-  mutable log : syscall_entry list;    (* completed syscalls, newest first *)
-  snap : syscall_entry array;          (* entries to fast-forward through,
-                                          oldest first *)
-  mutable snap_pos : int;              (* entries consumed *)
-  mutable saved : int;            (* instructions skipped on this path *)
-  mutable in_syscall : bool;      (* nested wrapped calls run transparently *)
 }
 
 type explore_state = {
@@ -178,7 +111,7 @@ type explore_state = {
   scope : Solver.Scope.t;
       (* incremental solving scope mirroring this context's decision
          stack; owned per exploration context (one per pool worker) *)
-  mutable frontier : frontier_item Search.t;
+  mutable frontier : Decision.t array Search.t;
       (* the run's frontier in a sequential exploration; a per-unit
          fork collector in a pool worker (replaced for every unit) *)
   mutable pool : (string * int * Expr.t) array;
@@ -197,15 +130,6 @@ type explore_state = {
   mutable stop_reason : Budget.reason option;
   started : float;
   mutable instr_base : int;
-  mutable n_snapshots : int;       (* forks pushed with a non-empty log *)
-  mutable n_restores : int;        (* paths started from a snapshot *)
-  mutable n_fallbacks : int;       (* non-root paths replayed without one *)
-  mutable n_saved : int;           (* instructions skipped by fast-forward *)
-  snap_cache : (string, syscall_entry list) Hashtbl.t;
-      (* pool-worker snapshot stash keyed by prefix digest: snapshots
-         never cross the wire, so a worker keeps the logs of the forks
-         it produced and fast-forwards any of them the master hands
-         back; a miss (other worker's fork, resume) replays *)
 }
 
 type replay_state = {
@@ -395,21 +319,6 @@ let record_visit st ps site =
   Search.record_visit st.frontier site;
   ps.visited <- site :: ps.visited
 
-(* Fork: push the flipped decision vector, carrying the forking path's
-   syscall log so the child can fast-forward instead of replaying.  The
-   in-flight syscall (if any) is deliberately absent from the log — only
-   completed calls are logged — so the child re-executes it for real and
-   the flipped decision lands inside live code. *)
-let push_fork st ps ~site alt =
-  let snap =
-    if st.cfg.snapshots then begin
-      if ps.log <> [] then st.n_snapshots <- st.n_snapshots + 1;
-      Some ps.log
-    end
-    else None
-  in
-  Search.push st.frontier ~site { fi_prefix = alt; fi_snap = snap }
-
 let branch ?(site = "branch") cond =
   Expr.add_instructions 1;
   match !mode with
@@ -466,7 +375,7 @@ let branch ?(site = "branch") cond =
            let alt =
              Array.of_list (List.rev (Decision.Dir false :: ps.taken))
            in
-           push_fork st ps ~site alt;
+           Search.push st.frontier ~site alt;
            if !Obs.Sink.enabled then
              Obs.Sink.instant ~cat:"engine" "fork"
                ~args:
@@ -703,7 +612,7 @@ let rec concretize ?(site = "concretize") e =
                   (List.rev
                      (Decision.Pick { value = v; dir = false } :: ps.taken))
               in
-              push_fork st ps ~site alt;
+              Search.push st.frontier ~site alt;
               if !Obs.Sink.enabled then
                 Obs.Sink.instant ~cat:"engine" "fork"
                   ~args:
@@ -719,16 +628,7 @@ let rec concretize ?(site = "concretize") e =
           | Solver.Unknown msg -> solver_unknown st msg))
 
 (* ------------------------------------------------------------------ *)
-(* Syscall log (snapshot forking)                                      *)
-
-let register_component ~save ~restore =
-  match !mode with
-  | Explore st ->
-    (match st.cur with
-     | Some ps ->
-       ps.comps_rev <- { comp_save = save; comp_restore = restore } :: ps.comps_rev
-     | None -> ())
-  | Off | Replay _ | Rand _ -> ()
+(* Exploration loop                                                    *)
 
 (* Hooks run at the start of every explored path, before the testbench
    body — the place to reset any global counters the re-executed
@@ -736,121 +636,19 @@ let register_component ~save ~restore =
 let path_start_hooks : (unit -> unit) list ref = ref []
 let add_path_start_hook f = path_start_hooks := !path_start_hooks @ [ f ]
 
-(* Head elements of [l] down to the (physically shared) [tail],
-   oldest-first.  The bookkeeping lists only grow by consing, so the
-   old list is always a tail of the new one. *)
-let added_since l tail =
-  let rec go acc l =
-    if l == tail then acc
-    else match l with [] -> acc | x :: rest -> go (x :: acc) rest
-  in
-  go [] l
-
-(* Wrap an engine-visible peripheral call.  During real execution the
-   completed call is appended to the path's syscall log; when the path
-   was forked off with a snapshot, the call is skipped entirely and the
-   logged entry replayed instead: path bookkeeping jumps to the
-   after-state, the appended constraints are mirrored into the
-   incremental solver scope (assumption frames only — the feasibility
-   verdicts were already established by the forking path), visit and
-   coverage deltas are re-recorded, the skipped instructions are
-   re-counted (so instruction totals match a replaying run exactly),
-   every tracked component is restored, and the caller's [apply]
-   reproduces the payload effect.  Wrapping is an optimization, never a
-   correctness requirement: an unwrapped call simply re-executes, and
-   its effects are overwritten by the next consumed entry's component
-   restore. *)
-let syscall ~capture ~apply f =
-  match !mode with
-  | Off | Replay _ | Rand _ -> f ()
-  | Explore st ->
-    let ps = current_path st in
-    if (not st.cfg.snapshots) || ps.in_syscall then f ()
-    else if ps.snap_pos < Array.length ps.snap then begin
-      (* fast-forward: consume the logged entry instead of executing *)
-      let e = ps.snap.(ps.snap_pos) in
-      ps.snap_pos <- ps.snap_pos + 1;
-      ps.pos <- e.sc_pos;
-      ps.taken <- e.sc_taken;
-      ps.inputs <- e.sc_inputs;
-      ps.fresh_idx <- e.sc_fresh_idx;
-      (* mirrored into the scope without instruction accounting: the
-         construction cost is already inside [sc_instr] below *)
-      Expr.without_counting (fun () ->
-          List.iter
-            (fun c ->
-               Solver.Scope.push st.scope;
-               Solver.Scope.assume st.scope c)
-            e.sc_new_pc);
-      ps.pc <- e.sc_pc;
-      List.iter (Search.record_visit st.frontier) e.sc_new_visits;
-      ps.visited <- e.sc_visited;
-      List.iter Obs.Coverage.replay e.sc_cov;
-      Expr.add_instructions e.sc_instr;
-      ps.saved <- ps.saved + e.sc_instr;
-      st.n_saved <- st.n_saved + e.sc_instr;
-      let comps = List.rev ps.comps_rev in
-      if List.length comps <> Array.length e.sc_comps then
-        failwith
-          "Engine.syscall: tracked component set diverged during \
-           fast-forward (components must not be registered inside \
-           wrapped calls)";
-      List.iteri (fun i c -> c.comp_restore e.sc_comps.(i)) comps;
-      apply e.sc_effect;
-      ps.log <- e :: ps.log
-    end
-    else begin
-      ps.in_syscall <- true;
-      let pc0 = ps.pc and visited0 = ps.visited in
-      let instr0 = Expr.instruction_count () in
-      let cov_buf = ref [] in
-      let prev_tap = !Obs.Coverage.tap in
-      Obs.Coverage.tap := Some (fun ev -> cov_buf := ev :: !cov_buf);
-      let finish () =
-        Obs.Coverage.tap := prev_tap;
-        ps.in_syscall <- false
-      in
-      Fun.protect ~finally:finish f;
-      (* Only completed calls are logged: a call that terminated its
-         path raised out of [f] above, so a fork's log never skips past
-         the decision that created it. *)
-      let entry =
-        {
-          sc_pos = List.length ps.taken;
-          sc_taken = ps.taken;
-          sc_pc = ps.pc;
-          sc_new_pc = added_since ps.pc pc0;
-          sc_inputs = ps.inputs;
-          sc_fresh_idx = ps.fresh_idx;
-          sc_visited = ps.visited;
-          sc_new_visits = added_since ps.visited visited0;
-          sc_cov = List.rev !cov_buf;
-          sc_instr = Expr.instruction_count () - instr0;
-          sc_comps =
-            Array.of_list
-              (List.map (fun c -> c.comp_save ()) (List.rev ps.comps_rev));
-          sc_effect = capture ();
-        }
-      in
-      ps.log <- entry :: ps.log
-    end
-
-(* ------------------------------------------------------------------ *)
-(* Exploration loop                                                    *)
-
 (* Run [body] once under [prefix], updating the counters, error table
    and telemetry of [st].  On a budget stop the partial path is rolled
    back — visit counts, instructions and the path count leave no trace
    — and the decisions taken so far are returned so the caller can
    re-queue them: the sequential loop pushes them back onto its own
    frontier, the worker-pool unit runner ships them to the master. *)
-let exec_path ?(snap = [||]) st body ~prefix =
+let exec_path st body ~prefix =
   (* Each path restarts from the decision-tree root — including after a
      resume, whose checkpoint may have been written mid-scope. *)
   Solver.Scope.pop_to_root st.scope;
   (* Id counters are reset per path so re-executed construction glue
-     allocates deterministic process/event ids — snapshots reference
-     objects by id across re-executions. *)
+     allocates deterministic process/event ids: a schedule-permuting
+     batch hook ([Order]) sees process ids. *)
   Pk.Process.reset_ids ();
   Pk.Event.reset_ids ();
   List.iter (fun f -> f ()) !path_start_hooks;
@@ -865,15 +663,8 @@ let exec_path ?(snap = [||]) st body ~prefix =
       visited = [];
       instr_start = instructions_so_far st;
       path_id = st.n_paths;
-      comps_rev = [];
-      log = [];
-      snap;
-      snap_pos = 0;
-      saved = 0;
-      in_syscall = false;
     }
   in
-  if Array.length snap > 0 then st.n_restores <- st.n_restores + 1;
   st.cur <- Some ps;
   st.n_paths <- st.n_paths + 1;
   (* Snapshot so an abandoned path's coverage rolls back with its visit
@@ -942,17 +733,19 @@ let exec_path ?(snap = [||]) st body ~prefix =
          without losing it: roll back its visit counts and
          instructions; re-queuing the returned decisions lets a
          resumed run re-execute the path in full, so total counters
-         match an uninterrupted run exactly. *)
+         match an uninterrupted run exactly.  A stop that came while
+         [prefix] was still replaying has taken only part of it, and
+         the path still stands for all of it: a shorter prefix would
+         re-explore the subtrees its forks already cover. *)
       List.iter (Search.unrecord_visit st.frontier) ps.visited;
       Obs.Coverage.restore cov0;
       let partial = instructions_so_far st - ps.instr_start in
       st.instr_base <- st.instr_base + partial;
       st.n_paths <- st.n_paths - 1;
-      (* The re-queued path re-runs in full, so the instructions its
-         fast-forward skipped are not durably saved. *)
-      st.n_saved <- st.n_saved - ps.saved;
       end_path "stopped";
-      `Stopped (Array.of_list (List.rev ps.taken))
+      let taken = Array.of_list (List.rev ps.taken) in
+      `Stopped (if Array.length taken < Array.length prefix then prefix
+                else taken)
   in
   st.cur <- None;
   result
@@ -964,11 +757,7 @@ let snapshot ~label st solver_base ~final =
   {
     Checkpoint.label;
     strategy = Search.strategy_to_string st.cfg.strategy;
-    (* Snapshots never leave the process: checkpoints carry decision
-       prefixes only, and a resumed run replays them from the root. *)
-    frontier =
-      List.map (fun (site, it) -> (site, it.fi_prefix))
-        (Search.entries st.frontier);
+    frontier = Search.entries st.frontier;
     leases = [];
     visits = Search.visit_counts st.frontier;
     rng = Search.rng_state st.frontier;
@@ -1042,27 +831,19 @@ let seq_run ~(config : config) ~label ?resume ?checkpoint body =
          | None -> now
          | Some ck -> now -. ck.Checkpoint.wall_time);
       instr_base = Expr.instruction_count ();
-      n_snapshots = 0;
-      n_restores = 0;
-      n_fallbacks = 0;
-      n_saved = 0;
-      snap_cache = Hashtbl.create 16;
     }
   in
-  let push_prefix ~site prefix =
-    Search.push st.frontier ~site { fi_prefix = prefix; fi_snap = None }
-  in
   (match resume with
-   | None -> push_prefix ~site:"root" [||]
+   | None -> Search.push st.frontier ~site:"root" [||]
    | Some ck ->
      List.iter
-       (fun (site, prefix) -> push_prefix ~site prefix)
+       (fun (site, prefix) -> Search.push st.frontier ~site prefix)
        ck.Checkpoint.frontier;
      (* A pool/distributed checkpoint may carry granted-but-unsettled
         leases; a sequential resume just re-executes those prefixes as
         ordinary frontier entries. *)
      List.iter
-       (fun (site, prefix, _attempts) -> push_prefix ~site prefix)
+       (fun (site, prefix, _attempts) -> Search.push st.frontier ~site prefix)
        ck.Checkpoint.leases;
      Search.set_visit_counts st.frontier ck.Checkpoint.visits;
      Search.set_rng_state st.frontier ck.Checkpoint.rng;
@@ -1108,18 +889,10 @@ let seq_run ~(config : config) ~label ?resume ?checkpoint body =
             | None -> ());
            match Search.pop st.frontier with
            | None -> continue := false
-           | Some { fi_prefix = prefix; fi_snap } ->
-             let snap =
-               match fi_snap with
-               | Some log -> Array.of_list (List.rev log)
-               | None ->
-                 if config.snapshots && Array.length prefix > 0 then
-                   st.n_fallbacks <- st.n_fallbacks + 1;
-                 [||]
-             in
-             (match exec_path st body ~prefix ~snap with
+           | Some prefix ->
+             (match exec_path st body ~prefix with
               | `Stopped taken ->
-                push_prefix ~site:"requeued" taken;
+                Search.push st.frontier ~site:"requeued" taken;
                 raise Stop_exploration
               | `Done -> ());
              if Obs.Progress.due ~paths:st.n_paths then begin
@@ -1191,10 +964,9 @@ let seq_run ~(config : config) ~label ?resume ?checkpoint body =
         coverage = Obs.Coverage.sub (Obs.Coverage.get ()) coverage0;
         profile = Obs.Profile.sub (Obs.Profile.get ()) profile0;
         events_dropped = Obs.Export.dropped_total ();
-        snapshots_taken = st.n_snapshots;
-        snapshot_restores = st.n_restores;
-        replay_fallbacks = st.n_fallbacks;
-        instructions_saved = st.n_saved;
+        snapshot_restores = 0;
+        replay_fallbacks = 0;
+        instructions_saved = 0;
       })
 
 (* ------------------------------------------------------------------ *)
@@ -1233,19 +1005,7 @@ let unit_ctx config =
     stop_reason = None;
     started = Unix.gettimeofday ();
     instr_base = Expr.instruction_count ();
-    n_snapshots = 0;
-    n_restores = 0;
-    n_fallbacks = 0;
-    n_saved = 0;
-    snap_cache = Hashtbl.create 64;
   }
-
-(* Snapshots are keyed by their decision prefix: the master's frontier,
-   checkpoints and the wire all stay prefix-only, and a worker simply
-   recognizes a prefix it forked itself. *)
-let prefix_key prefix = Digest.string (Marshal.to_string prefix [])
-
-let snap_cache_cap = 64
 
 (* Execute one work unit: a single path under [prefix], collecting the
    forks it discovers into a fresh frontier.  The error/counter fields
@@ -1269,27 +1029,14 @@ let run_unit st body ~prefix =
   st.degraded <- false;
   st.stop_reason <- None;
   st.instr_base <- Expr.instruction_count ();
-  st.n_snapshots <- 0;
-  st.n_restores <- 0;
-  st.n_fallbacks <- 0;
-  st.n_saved <- 0;
   let solver0 = Solver.Stats.get () in
   let coverage0 = Obs.Coverage.get () in
   let profile0 = Obs.Profile.get () in
-  let snap =
-    if not st.cfg.snapshots then [||]
-    else
-      match Hashtbl.find_opt st.snap_cache (prefix_key prefix) with
-      | Some log -> Array.of_list (List.rev log)
-      | None ->
-        if Array.length prefix > 0 then st.n_fallbacks <- 1;
-        [||]
-  in
   Solver.set_interrupt_check Budget.interrupted;
   mode := Explore st;
   let finish () = mode := Off in
   let outcome =
-    Fun.protect ~finally:finish (fun () -> exec_path st body ~prefix ~snap)
+    Fun.protect ~finally:finish (fun () -> exec_path st body ~prefix)
   in
   let solver = Solver.Stats.sub (Solver.Stats.get ()) solver0 in
   (* An aborted unit's coverage delta is zero by construction —
@@ -1298,21 +1045,7 @@ let run_unit st body ~prefix =
      the solver stats. *)
   let coverage = Obs.Coverage.sub (Obs.Coverage.get ()) coverage0 in
   let profile = Obs.Profile.sub (Obs.Profile.get ()) profile0 in
-  let fork_items = Search.entries st.frontier in
-  (* Ship the forks as bare prefixes and stash their logs locally: if
-     the master hands one of them back to this worker it fast-forwards,
-     any other worker replays. *)
-  let forks = List.map (fun (site, it) -> (site, it.fi_prefix)) fork_items in
-  if st.cfg.snapshots then begin
-    if Hashtbl.length st.snap_cache > snap_cache_cap then
-      Hashtbl.reset st.snap_cache;
-    List.iter
-      (fun (_site, it) ->
-         match it.fi_snap with
-         | Some log -> Hashtbl.replace st.snap_cache (prefix_key it.fi_prefix) log
-         | None -> ())
-      fork_items
-  end;
+  let forks = Search.entries st.frontier in
   let errors = List.rev st.errors_rev in
   match outcome with
   | `Stopped taken ->
@@ -1331,11 +1064,7 @@ let run_unit st body ~prefix =
       coverage;
       profile;
       events = [];
-      events_dropped = 0;
-      snapshots_taken = st.n_snapshots;
-      snapshot_restores = st.n_restores;
-      replay_fallbacks = st.n_fallbacks;
-      instructions_saved = st.n_saved }
+      events_dropped = 0 }
   | `Done ->
     let outcome =
       if st.n_completed > 0 then Pool.Unit_completed
@@ -1355,11 +1084,7 @@ let run_unit st body ~prefix =
       coverage;
       profile;
       events = [];
-      events_dropped = 0;
-      snapshots_taken = st.n_snapshots;
-      snapshot_restores = st.n_restores;
-      replay_fallbacks = st.n_fallbacks;
-      instructions_saved = st.n_saved }
+      events_dropped = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Replay                                                              *)
@@ -1460,7 +1185,6 @@ module Session = struct
     lease_ms : int option;
     cookie : string option;
     validate : bool;
-    snapshots : bool;
   }
 
   (* Poison-unit quarantine threshold: a unit that has taken down this
@@ -1469,7 +1193,7 @@ module Session = struct
 
   let make ?strategy ?(limits = no_limits) ?stop_after_errors ?checkpoint
       ?resume ?seed ?(workers = 1) ?heartbeat_ms ?listen ?lease_ms ?cookie
-      ?(validate = true) ?(snapshots = true) () =
+      ?(validate = true) () =
     if workers < 1 && listen = None then
       invalid_arg "Engine.Session.make: workers must be >= 1";
     if workers < 0 then
@@ -1489,13 +1213,12 @@ module Session = struct
       | None, None -> Search.Dfs
     in
     { strategy; limits; stop_after_errors; checkpoint; resume; seed; workers;
-      heartbeat_ms; listen; lease_ms; cookie; validate; snapshots }
+      heartbeat_ms; listen; lease_ms; cookie; validate }
 
   let config t =
     { strategy = t.strategy;
       limits = t.limits;
-      stop_after_errors = t.stop_after_errors;
-      snapshots = t.snapshots }
+      stop_after_errors = t.stop_after_errors }
 
   let run ?(label = "run") t body =
     let rep =
@@ -1557,10 +1280,9 @@ module Session = struct
           coverage = r.Pool.r_coverage;
           profile = r.Pool.r_profile;
           events_dropped = Obs.Export.dropped_total ();
-          snapshots_taken = r.Pool.r_snapshots_taken;
-          snapshot_restores = r.Pool.r_snapshot_restores;
-          replay_fallbacks = r.Pool.r_replay_fallbacks;
-          instructions_saved = r.Pool.r_instructions_saved;
+          snapshot_restores = 0;
+          replay_fallbacks = 0;
+          instructions_saved = 0;
         }
       end
     in

@@ -33,18 +33,14 @@
     worker-pool engine ({!Pool}); with the default single worker it
     runs the in-process sequential loop — same verdicts either way.
 
-    {1 Snapshot forking}
+    {1 One fork representation}
 
-    By default the engine forks by {e snapshot}: every peripheral call
-    wrapped in {!syscall} appends a log entry capturing its full effect
-    (path bookkeeping, coverage events, tracked component states, and a
-    payload effect).  A forked child carries the parent's log and
-    fast-forwards through it — restoring state instead of re-executing
-    the calls — then runs only its suffix live.  Decision-prefix replay
-    is kept as the checkpoint/wire representation: snapshots never
-    leave the process, and a path whose snapshot is unavailable (cache
-    eviction, resume, worker hand-off) silently degrades to full
-    replay, counted in [replay_fallbacks]. *)
+    A fork is its decision prefix and nothing else: the sequential
+    frontier, the pool's work units, checkpoints, requeues and chaos
+    recovery all hold bare prefixes, and every path re-executes its
+    prefix from the root.  The solver takes almost all of the time, so
+    that re-execution costs little (DESIGN.md, "Forking by
+    decision-prefix replay"). *)
 
 type limits = Budget.t = {
   max_paths : int option;
@@ -69,9 +65,6 @@ type config = {
   limits : limits;
   stop_after_errors : int option;
       (** stop exploration once this many distinct errors are known *)
-  snapshots : bool;
-      (** fork by fast-forwarding the parent's syscall log (default);
-          when [false] every path replays its full decision prefix *)
 }
 
 val default_config : config
@@ -146,17 +139,12 @@ type report = {
   events_dropped : int;
       (** trace events lost to recorder/forwarding limits (local +
           worker-reported) *)
-  snapshots_taken : int;
-      (** forks pushed with a usable syscall-log snapshot *)
   snapshot_restores : int;
-      (** paths that started by fast-forwarding a snapshot *)
   replay_fallbacks : int;
-      (** paths whose snapshot was unavailable (evicted, resumed from
-          a checkpoint, or handed to another worker) and that replayed
-          their full decision prefix instead *)
   instructions_saved : int;
-      (** symbolic instructions accounted by fast-forward instead of
-          re-execution (included in [instructions]) *)
+      (** Retired: these three always read 0.  They counted the
+          snapshot-forking fast-forward, which is gone; they stay only
+          because the benchmark harness still reads them. *)
 }
 
 (** The unified exploration entry point: one value carrying everything
@@ -194,10 +182,6 @@ module Session : sig
         (** replay every error's counterexample concretely after the
             run and demote unconfirmed errors to
             [Error.validated = false] (default [true]) *)
-    snapshots : bool;
-        (** snapshot forking (default [true]); see the module docs.
-            Verdicts, error sites and path totals are identical either
-            way — only re-executed work differs. *)
   }
 
   val make :
@@ -213,7 +197,6 @@ module Session : sig
     ?lease_ms:int ->
     ?cookie:string ->
     ?validate:bool ->
-    ?snapshots:bool ->
     unit ->
     t
   (** Build a session.  Defaults: no budgets, no checkpointing, one
@@ -282,54 +265,10 @@ module Session : sig
       [Invalid_argument] when [workers < 1]. *)
 end
 
-(** {1 Snapshot plumbing (peripheral-facing)}
-
-    Peripherals opt into snapshot forking by (a) registering their
-    mutable state as components and (b) wrapping their engine-visible
-    entry points in {!syscall}.  Wrapping is an optimization, never a
-    correctness requirement: an unwrapped call simply re-executes on
-    fast-forwarded paths and its effects are overwritten by the next
-    consumed entry's component restore. *)
-
-type component_state = ..
-(** Extensible captured-state constructors; each peripheral adds its
-    own (the engine never inspects them). *)
-
-type effect_data = ..
-(** Extensible per-call payload effect (e.g. the TLM payload bytes a
-    transport wrote back). *)
-
-type effect_data += Effect_none
-
-val register_component :
-  save:(unit -> component_state) ->
-  restore:(component_state -> unit) ->
-  unit
-(** Track a piece of mutable state for snapshotting.  Must be called
-    during path execution (typically from construction glue inside the
-    testbench thunk) and never from inside a {!syscall}-wrapped call;
-    outside exploration it is a no-op.  Components are captured after
-    every wrapped call in registration order. *)
-
 val add_path_start_hook : (unit -> unit) -> unit
 (** Run [f] at the start of every path execution (process-global, for
     resetting ambient registries).  The engine resets the {!Pk} id
     counters itself; hooks run after that. *)
-
-val syscall :
-  capture:(unit -> effect_data) ->
-  apply:(effect_data -> unit) ->
-  (unit -> unit) ->
-  unit
-(** [syscall ~capture ~apply f] runs the peripheral call [f] and logs
-    its complete effect: engine bookkeeping (decisions, path condition,
-    fresh inputs, visits, coverage, instruction count), the states of
-    all registered components, and [capture ()]'s payload effect.  On a
-    fast-forwarded path the logged entry is consumed instead: state is
-    restored and [apply] re-applies the payload effect, without running
-    [f].  Return values are threaded through refs closed over by
-    [capture]/[apply].  Outside exploration (or with snapshots
-    disabled, or when nested) it just runs [f]. *)
 
 (** {1 Testbench / DUV intrinsics}
 

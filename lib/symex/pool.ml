@@ -22,10 +22,6 @@ type unit_result = {
   profile : Obs.Profile.t;
   events : Obs.Event.t list;
   events_dropped : int;
-  snapshots_taken : int;
-  snapshot_restores : int;
-  replay_fallbacks : int;
-  instructions_saved : int;
 }
 
 type config = {
@@ -65,10 +61,6 @@ type result = {
   r_chaos : (string * int) list;
   r_coverage : Obs.Coverage.t;
   r_profile : Obs.Profile.t;
-  r_snapshots_taken : int;
-  r_snapshot_restores : int;
-  r_replay_fallbacks : int;
-  r_instructions_saved : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -186,10 +178,6 @@ let result_to_json id (r : unit_result) =
       ("profile", Obs.Profile.to_json r.profile);
       ("events", Json.List (List.map Obs.Event.to_json r.events));
       ("events_dropped", Json.Int r.events_dropped);
-      ("snapshots_taken", Json.Int r.snapshots_taken);
-      ("snapshot_restores", Json.Int r.snapshot_restores);
-      ("replay_fallbacks", Json.Int r.replay_fallbacks);
-      ("instructions_saved", Json.Int r.instructions_saved);
       ("requeue",
        match r.requeue with None -> Json.Null | Some p -> prefix_to_json p) ]
 
@@ -294,19 +282,7 @@ let result_of_json j =
         events;
         events_dropped =
           Option.value ~default:0
-            (Option.bind (Json.member "events_dropped" j) Json.to_int_opt);
-        snapshots_taken =
-          Option.value ~default:0
-            (Option.bind (Json.member "snapshots_taken" j) Json.to_int_opt);
-        snapshot_restores =
-          Option.value ~default:0
-            (Option.bind (Json.member "snapshot_restores" j) Json.to_int_opt);
-        replay_fallbacks =
-          Option.value ~default:0
-            (Option.bind (Json.member "replay_fallbacks" j) Json.to_int_opt);
-        instructions_saved =
-          Option.value ~default:0
-            (Option.bind (Json.member "instructions_saved" j) Json.to_int_opt) } )
+            (Option.bind (Json.member "events_dropped" j) Json.to_int_opt) } )
 
 (* ------------------------------------------------------------------ *)
 (* Worker side: the unit-serving loop, shared by forked pipe workers
@@ -361,10 +337,12 @@ let serve_conn ~exec ~conn ~drain ~writing ~forward ~reconnectable () =
     let s = frame_string j in
     send_raw s (String.length s)
   in
-  (* A pipe worker cannot redial its pipe: connection-level chaos kills
-     the process so the master sees EOF, exactly as a real crash
-     would.  A TCP worker closes the socket and unwinds to its
-     reconnect loop instead. *)
+  (* A pipe worker cannot redial its pipe.  Worker-level chaos kills
+     the process with a non-zero status, as a real crash would;
+     connection-level chaos ends it with status 0, as a real lost link
+     does ([worker_main] exits 0 when its transport fails), so the
+     master sees EOF from a worker that did not crash.  A TCP worker
+     closes the socket and unwinds to its reconnect loop instead. *)
   let vanish code =
     stop_heartbeat ();
     Unix._exit code
@@ -402,7 +380,7 @@ let serve_conn ~exec ~conn ~drain ~writing ~forward ~reconnectable () =
         Transport.close conn;
         raise (Transport.Disconnected "chaos conn-drop")
       end
-      else vanish 134
+      else vanish 0
     end
     else if Chaos.fire Chaos.Frame_shear then begin
       (* The connection dies mid-write: the master reads a sheared
@@ -413,7 +391,7 @@ let serve_conn ~exec ~conn ~drain ~writing ~forward ~reconnectable () =
         Transport.close conn;
         raise (Transport.Disconnected "chaos frame-shear")
       end
-      else vanish 133
+      else vanish 0
     end
     else begin
       if Chaos.fire Chaos.Conn_stall then begin
@@ -568,10 +546,6 @@ let run cfg ?resume ?checkpoint ~exec () =
   let n_infeasible = ref 0 in
   let n_unknown = ref 0 in
   let instr = ref 0 in
-  let snapshots_taken = ref 0 in
-  let snapshot_restores = ref 0 in
-  let replay_fallbacks = ref 0 in
-  let instructions_saved = ref 0 in
   let solver_acc = ref Stats.zero in
   let degraded = ref false in
   let stop_reason = ref None in
@@ -695,7 +669,9 @@ let run cfg ?resume ?checkpoint ~exec () =
      fork — it closes those too — and crucially can never inherit a
      sibling's result-write end, which is what would mask the EOF that
      signals that sibling's death.  The listener descriptor is closed
-     in the child for the same reason. *)
+     in the child for the same reason.  A dead peer's descriptors are
+     already closed, and this spawn's own pipes may have reused their
+     numbers, so the child leaves them alone. *)
   let peers : peer list ref = ref [] in
   let unregistered : (Transport.conn * float) list ref = ref [] in
   let next_id = ref 0 in
@@ -716,7 +692,7 @@ let run cfg ?resume ?checkpoint ~exec () =
       (match cfg.listen with
        | Some l -> (try Unix.close (Transport.listener_fd l) with _ -> ())
        | None -> ());
-      List.iter (fun p -> Transport.close p.p_conn) !peers;
+      List.iter (fun p -> if p.p_alive then Transport.close p.p_conn) !peers;
       List.iter (fun (c, _) -> Transport.close c) !unregistered;
       (try
          worker_main ~exec ~worker_id:id ~heartbeat_ms:cfg.heartbeat_ms ur rw
@@ -789,21 +765,32 @@ let run cfg ?resume ?checkpoint ~exec () =
      the unit is quarantined instead of requeued — losing one path
      (and the exhaustiveness claim) beats losing the whole campaign.
      Keyed on crashes, not lease attempts: expiry regrants of a merely
-     slow unit must never quarantine it. *)
+     slow unit must never quarantine it.  Nor is a lost link a crash:
+     a forked worker whose pipe fails exits normally (status 0, see
+     [worker_main]), and its unit is requeued without blame.  A remote
+     peer leaves no exit status, so its lost connection is still
+     charged to the unit. *)
   let crash_counts : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let prefix_key p =
     String.concat ";" (Array.to_list (Array.map Decision.to_string p))
   in
   let handle_death ?(hung = false) ?(graceful = false) p =
     p.p_alive <- false;
-    (match p.p_pid with
-     | Some pid ->
-       (* SIGKILL before reaping: a hung worker never exits on its own,
-          and one that sent a corrupt frame may still be running. *)
-       if not graceful then (try Unix.kill pid Sys.sigkill with _ -> ());
-       Transport.close p.p_conn;
-       (try ignore (Unix.waitpid [] pid) with _ -> ())
-     | None -> Transport.close p.p_conn);
+    let link_lost =
+      match p.p_pid with
+      | Some pid ->
+        (* SIGKILL before reaping: a hung worker never exits on its own,
+           and one that sent a corrupt frame may still be running.  A
+           worker whose EOF we saw has already exited, so the kill
+           leaves its status alone. *)
+        if not graceful then (try Unix.kill pid Sys.sigkill with _ -> ());
+        Transport.close p.p_conn;
+        (match Unix.waitpid [] pid with
+         | _, Unix.WEXITED 0 -> true
+         | _ -> false
+         | exception _ -> false)
+      | None -> Transport.close p.p_conn; false
+    in
     if not graceful then begin
       incr deaths;
       Obs.Metrics.inc m_deaths
@@ -812,9 +799,10 @@ let run cfg ?resume ?checkpoint ~exec () =
      | Some (e, _) ->
        p.p_lease <- None;
        if Lease.is_settled leases e.Lease.l_id then ()
-       else if graceful then begin
+       else if graceful || link_lost then begin
          (* A draining peer should have settled its unit first; if not,
-            the unit is simply another orphaned grant. *)
+            the unit is simply another orphaned grant.  So is the unit
+            of a worker that lost its link. *)
          incr requeued;
          Obs.Metrics.inc m_requeued;
          Lease.requeue leases e
@@ -950,10 +938,6 @@ let run cfg ?resume ?checkpoint ~exec () =
         coverage_acc := Obs.Coverage.add !coverage_acc r.coverage
       end;
       List.iter (fun (site, pr) -> Search.push frontier ~site pr) r.forks;
-      snapshots_taken := !snapshots_taken + r.snapshots_taken;
-      snapshot_restores := !snapshot_restores + r.snapshot_restores;
-      replay_fallbacks := !replay_fallbacks + r.replay_fallbacks;
-      instructions_saved := !instructions_saved + r.instructions_saved;
       solver_acc := Stats.add !solver_acc r.solver;
       (* Profile and forwarded events mirror the solver stats: work
          done is accounted even when the unit aborted. *)
@@ -1450,11 +1434,7 @@ let run cfg ?resume ?checkpoint ~exec () =
       r_reconnects = !reconnects;
       r_chaos = chaos;
       r_coverage = !coverage_acc;
-      r_profile = !profile_acc;
-      r_snapshots_taken = !snapshots_taken;
-      r_snapshot_restores = !snapshot_restores;
-      r_replay_fallbacks = !replay_fallbacks;
-      r_instructions_saved = !instructions_saved }
+      r_profile = !profile_acc }
   | exception Worker_fatal msg ->
     shutdown ~force:true ();
     failwith ("Engine pool: " ^ msg)
@@ -1476,9 +1456,13 @@ let serve ~host ~port ~workers ~label ~strategy ?cookie ?(backoff_seed = 0)
    | _ -> ());
   Transport.init ();
   let strategy_str = Search.strategy_to_string strategy in
+  (* Installed before any fork, so a forked worker holds its drain
+     handler from its first instruction: a SIGTERM the pool forwards
+     to a sibling that has not run yet sets that sibling's [drain]
+     instead of killing it with the default action. *)
+  let drain = ref false in
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> drain := true));
   let worker_loop slot =
-    let drain = ref false in
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> drain := true));
     let writing = ref false in
     let reconnects = ref 0 in
     let dial_attempt = ref 0 in
@@ -1588,11 +1572,13 @@ let serve ~host ~port ~workers ~label ~strategy ?cookie ?(backoff_seed = 0)
             Unix._exit code
           | pid -> pid)
     in
-    let drain pids =
+    let drain_all pids =
       List.iter (fun pid -> try Unix.kill pid Sys.sigterm with _ -> ()) pids
     in
-    (* Forward a drain request to every worker in the pool. *)
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> drain pids));
+    (* Forward a drain request to every worker in the pool, including
+       one that arrived while the pool was still forking. *)
+    Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> drain_all pids));
+    if !drain then drain_all pids;
     (* A worker exits 0 only on the master's [stop], a drain, or after
        reporting a fatal error that ends the campaign; either way the
        pool is done.  The master stops only the workers it registered,
@@ -1616,7 +1602,7 @@ let serve ~host ~port ~workers ~label ~strategy ?cookie ?(backoff_seed = 0)
             live
         in
         let codes = List.filter_map Fun.id ended in
-        if List.mem 0 codes then drain live;
+        if List.mem 0 codes then drain_all live;
         if ended = [] then Unix.sleepf 0.05;
         reap live (List.fold_left max worst codes)
       end

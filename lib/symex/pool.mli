@@ -77,7 +77,9 @@
     marked degraded (no exhaustiveness claim) and the quarantine is
     surfaced in [r_quarantined].  Quarantine is keyed on worker
     {e crashes}, never on lease expiries: a slow unit regranted many
-    times is not poison.
+    times is not poison.  Nor is a forked worker that exits with
+    status 0 — it lost its link — charged; a remote peer leaves no
+    exit status, so its lost connection still counts as a crash.
 
     With a {!Chaos} spec armed, workers reseed their injection streams
     with their peer id and fire the [worker-crash], [worker-hang],
@@ -123,16 +125,6 @@ type unit_result = {
           requested forwarding *)
   events_dropped : int;
       (** events lost to the worker's forwarding buffer limit *)
-  snapshots_taken : int;
-      (** forks pushed with a usable syscall-log snapshot *)
-  snapshot_restores : int;
-      (** paths fast-forwarded from the worker's snapshot cache *)
-  replay_fallbacks : int;
-      (** 1 when this unit's prefix missed the snapshot cache and was
-          replayed in full, 0 otherwise *)
-  instructions_saved : int;
-      (** instruction count accounted by fast-forward (included in
-          [instructions]) *)
 }
 
 type config = {
@@ -203,13 +195,6 @@ type result = {
           sequential run over the same path set *)
   r_profile : Obs.Profile.t;
       (** merged solver-time attribution (CPU seconds, like [r_solver]) *)
-  r_snapshots_taken : int;
-  r_snapshot_restores : int;
-  r_replay_fallbacks : int;
-      (** summed snapshot counters of all non-duplicate unit results;
-          snapshots never cross the wire, so a unit executed away from
-          the worker that discovered it counts one fallback *)
-  r_instructions_saved : int;
 }
 
 val run :

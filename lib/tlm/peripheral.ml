@@ -1,5 +1,3 @@
-module Engine = Symex.Engine
-
 module type S = sig
   type t
   type config
@@ -11,43 +9,3 @@ module type S = sig
   val snapshot : t -> state
   val restore : t -> state -> unit
 end
-
-(* ---- scheduler tracking ---- *)
-
-type Engine.component_state += Sched_state of Pk.Scheduler.state
-
-let track_scheduler sched =
-  Engine.register_component
-    ~save:(fun () -> Sched_state (Pk.Scheduler.snapshot sched))
-    ~restore:(function
-      | Sched_state s -> Pk.Scheduler.restore sched s
-      | _ -> assert false)
-
-(* ---- logged scheduler entry points ----
-
-   [step]/[run_ready] are the engine-visible scheduler calls of every
-   testbench; wrapping them here means peripheral threads (which fork
-   on symbolic state) are fast-forwarded on snapshot-restored paths.
-   The scheduler itself must be tracked ([track_scheduler]) so the
-   consumed entry's component restore re-establishes queues and
-   simulation time. *)
-
-type Engine.effect_data +=
-  | Step_effect of { advanced : bool }
-  | Unit_effect
-
-let step sched =
-  let advanced = ref false in
-  Engine.syscall
-    ~capture:(fun () -> Step_effect { advanced = !advanced })
-    ~apply:(function
-      | Step_effect { advanced = a } -> advanced := a
-      | _ -> ())
-    (fun () -> advanced := Pk.Scheduler.step sched);
-  !advanced
-
-let run_ready sched =
-  Engine.syscall
-    ~capture:(fun () -> Unit_effect)
-    ~apply:(fun _ -> ())
-    (fun () -> Pk.Scheduler.run_ready sched)

@@ -7,12 +7,8 @@
     ([snapshot]/[restore]).  The [state] value is pure data — arrays
     and scalars, no aliasing into the live device — so restoring it
     onto the device it came from reproduces the exact pre-snapshot
-    observable behaviour.
-
-    Conforming peripherals also register themselves as engine
-    components at [make] time, which is what lets the engine's
-    snapshot-forking fast-forward restore them without re-executing
-    transports (see {!Symex.Engine.syscall}).
+    observable behaviour.  [reset] is a [restore] of the state captured
+    at the end of [make].
 
     {1 State ownership rules}
 
@@ -21,10 +17,10 @@
       flags of connected hart/port objects.  All of it is captured by
       [snapshot].
     - The scheduler is shared between peripherals and is therefore
-      {e not} part of any peripheral's [state]; testbenches track it
-      once via {!track_scheduler}.
-    - Symbolic path-condition bookkeeping belongs to the engine and is
-      restored by the engine itself during fast-forward. *)
+      {e not} part of any peripheral's [state].
+    - Symbolic path-condition bookkeeping belongs to the engine: a
+      forked path re-executes its decision prefix from the root and
+      rebuilds the device on the way. *)
 
 module type S = sig
   type t
@@ -37,8 +33,8 @@ module type S = sig
   (** Captured device state: pure data, no aliasing into [t]. *)
 
   val make : config -> Pk.Scheduler.t -> t
-  (** Build the device, map its registers, spawn its threads on the
-      scheduler, and register it as an engine component. *)
+  (** Build the device, map its registers and spawn its threads on the
+      scheduler. *)
 
   val reset : t -> unit
   (** Restore the just-constructed state captured by [make].  Scheduler
@@ -54,16 +50,3 @@ module type S = sig
       (or from a structurally identical device built by the same
       deterministic construction glue). *)
 end
-
-val track_scheduler : Pk.Scheduler.t -> unit
-(** Register the scheduler as an engine component so snapshot-forking
-    restores queues, wait sets and simulation time.  Call once per
-    scheduler, from construction glue inside the testbench thunk. *)
-
-val step : Pk.Scheduler.t -> bool
-(** {!Pk.Scheduler.step} wrapped in the engine's syscall log: on a
-    fast-forwarded path the logged scheduler activity is restored
-    instead of re-executed. *)
-
-val run_ready : Pk.Scheduler.t -> unit
-(** {!Pk.Scheduler.run_ready}, logged like {!step}. *)

@@ -38,11 +38,6 @@ let ranges t = List.rev t.rev_ranges
 let overlaps a b =
   a.base < b.base + b.rg_size && b.base < a.base + a.rg_size
 
-(* Snapshot plumbing: every mapped backing store is tracked as an
-   engine component, so a fast-forwarded path restores register-file
-   contents without re-executing the transports that produced them. *)
-type Engine.component_state += Mem_state of Mem.state
-
 (* F4's assertion message for a [cmd] the range does not allow. *)
 let denied cmd name =
   Printf.sprintf "%s of %s not registered for this access type"
@@ -72,11 +67,6 @@ let add_range t ~name ~base ~access ?pre_read ?post_write backing =
   if List.exists (fun r -> r.rg_name = name) t.rev_ranges then
     invalid_arg ("Register.add_range: duplicate name " ^ name);
   t.rev_ranges <- range :: t.rev_ranges;
-  Engine.register_component
-    ~save:(fun () -> Mem_state (Mem.save backing))
-    ~restore:(function
-      | Mem_state s -> Mem.load backing s
-      | _ -> assert false);
   if Engine.exploring () then
     Obs.Coverage.declare ~peripheral:t.rf_name ~register:name
       ~size:range.rg_size;
@@ -164,7 +154,7 @@ let serve t (p : Payload.t) r =
     Option.iter (fun f -> f ()) r.post_write;
     p.Payload.response <- Payload.Ok_response
 
-let transport_body t (p : Payload.t) =
+let transport t (p : Payload.t) delay =
   (try
      (* F2: alignment.  The original read path asserts word alignment;
         the write path stores byte lanes and never checks (which is why
@@ -218,24 +208,5 @@ let transport_body t (p : Payload.t) =
          end
      in
      dispatch (ranges t)
-   with Done -> ())
-
-(* The payload's observable effect.  Both capture and apply copy the
-   data array: several forked children can consume the same physically
-   shared log entry, and caller glue is free to mutate [p.data] in
-   place afterwards. *)
-type Engine.effect_data +=
-  | Transport_effect of { t_data : Expr.t array; t_response : Payload.response }
-
-let transport t (p : Payload.t) delay =
-  Engine.syscall
-    ~capture:(fun () ->
-      Transport_effect
-        { t_data = Array.copy p.Payload.data; t_response = p.Payload.response })
-    ~apply:(function
-      | Transport_effect { t_data; t_response } ->
-        p.Payload.data <- Array.copy t_data;
-        p.Payload.response <- t_response
-      | _ -> ())
-    (fun () -> transport_body t p);
+   with Done -> ());
   Pk.Sc_time.add delay access_latency

@@ -1,6 +1,5 @@
 module Expr = Smt.Expr
 module Value = Symex.Value
-module Engine = Symex.Engine
 module Mem = Symex.Mem
 module Sc_time = Pk.Sc_time
 
@@ -120,16 +119,10 @@ let on_rxdata_read t =
 (* ---- wire side ---- *)
 
 let receive_byte t byte =
-  (* Logged like a TLM transport: FIFO and irq-line changes land in
-     the tracked component, so no payload effect is needed. *)
-  Engine.syscall
-    ~capture:(fun () -> Engine.Effect_none)
-    ~apply:(fun _ -> ())
-    (fun () ->
-       if rx_level t < fifo_depth then begin
-         Queue.push (Expr.extract ~hi:7 ~lo:0 byte) t.rx_fifo;
-         update_irq t
-       end)
+  if rx_level t < fifo_depth then begin
+    Queue.push (Expr.extract ~hi:7 ~lo:0 byte) t.rx_fifo;
+    update_irq t
+  end
 
 (* Time to shift one frame out: (div + 1) ticks for each of the ~10
    bits of an 8N1 frame, collapsed into one wait. *)
@@ -170,8 +163,6 @@ let restore t s =
   t.sent <- s.sn_sent;
   t.line <- s.sn_line;
   Pk.Process.Fsm.set t.tx_fsm s.sn_fsm
-
-type Engine.component_state += Uart_state of snap
 
 let spawn_transmitter t =
   let fsm = t.tx_fsm in
@@ -256,11 +247,6 @@ let create ?(policy = Tlm.Register.Fixed) ?(clock = Sc_time.ns 10)
   ignore
     (add ~name:"div" ~base:div_base ~access:Tlm.Register.Read_write t.divider);
   spawn_transmitter t;
-  Engine.register_component
-    ~save:(fun () -> Uart_state (snapshot t))
-    ~restore:(function
-      | Uart_state s -> restore t s
-      | _ -> assert false);
   t.reset_snap <- Some (snapshot t);
   t
 

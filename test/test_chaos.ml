@@ -343,9 +343,7 @@ let unit_ok ?(forks = []) () =
     instructions = 1; degraded = false; solver = Solver.Stats.zero;
     requeue = None; chaos = [];
     coverage = Obs.Coverage.zero; profile = Obs.Profile.zero;
-    events = []; events_dropped = 0;
-    snapshots_taken = 0; snapshot_restores = 0; replay_fallbacks = 0;
-    instructions_saved = 0 }
+    events = []; events_dropped = 0 }
 
 (* A SIGSTOPped worker emits no heartbeats and never exits, which used
    to block the run forever; the watchdog must reap and replace it. *)
@@ -416,6 +414,43 @@ let test_poison_unit_quarantined () =
   Alcotest.(check int) "the healthy units still completed" 2
     r.Pool.r_completed;
   Alcotest.(check bool) "a quarantined path forfeits exhaustiveness" false
+    r.Pool.r_exhausted
+
+(* A forked worker that loses its link exits normally; the unit it
+   held is requeued without being charged as a crash, so even a budget
+   of one crash quarantines nothing under link faults alone. *)
+let test_lost_link_is_not_a_crash () =
+  let config =
+    { Pool.workers = 2; strategy = Search.Dfs; limits = Engine.no_limits;
+      stop_after_errors = None; label = "link-test";
+      heartbeat_ms = None; max_unit_crashes = 1; listen = None;
+      lease_ms = None; cookie = None }
+  in
+  let exec ~prefix =
+    match Array.to_list prefix with
+    | [] ->
+      unit_ok
+        ~forks:
+          (List.init 8 (fun i ->
+               ( "root",
+                 Array.init 3 (fun b -> Decision.Dir (i land (1 lsl b) <> 0))
+               )))
+        ()
+    | _ -> unit_ok ()
+  in
+  let r =
+    with_chaos ~seed:5 [ (Chaos.Conn_drop, 0.4); (Chaos.Frame_shear, 0.4) ]
+      (fun () -> Pool.run config ~exec ())
+  in
+  Alcotest.(check bool) "link faults took workers down" true
+    (r.Pool.r_worker_deaths >= 1);
+  (* Every death is a link fault on a worker holding a unit; a
+     replacement that died before its first unit would show up here. *)
+  Alcotest.(check int) "every death requeued the unit in flight"
+    r.Pool.r_worker_deaths r.Pool.r_requeued;
+  Alcotest.(check int) "no unit quarantined" 0 r.Pool.r_quarantined;
+  Alcotest.(check int) "every unit completed" 9 r.Pool.r_completed;
+  Alcotest.(check bool) "run still counts as exhaustive" true
     r.Pool.r_exhausted
 
 (* ------------------------------------------------------------------ *)
@@ -524,3 +559,5 @@ let suite =
      test_sigterm_sets_interrupt);
   ]
   @ clean_validation_cases @ campaign_cases
+  @ [ ("pool: a lost link is not a unit crash", `Quick,
+       test_lost_link_is_not_a_crash) ]

@@ -338,9 +338,7 @@ let test_cookie_mismatch_rejected () =
           visits = []; instructions = 0; degraded = false;
           solver = Smt.Solver.Stats.zero; requeue = None; chaos = [];
           coverage = Obs.Coverage.zero; profile = Obs.Profile.zero;
-          events = []; events_dropped = 0;
-    snapshots_taken = 0; snapshot_restores = 0; replay_fallbacks = 0;
-    instructions_saved = 0 }
+          events = []; events_dropped = 0 }
       in
       let code =
         try
@@ -428,9 +426,7 @@ let unit_ok ?(forks = []) () =
     instructions = 1; degraded = false; solver = Smt.Solver.Stats.zero;
     requeue = None; chaos = [];
     coverage = Obs.Coverage.zero; profile = Obs.Profile.zero;
-    events = []; events_dropped = 0;
-    snapshots_taken = 0; snapshot_restores = 0; replay_fallbacks = 0;
-    instructions_saved = 0 }
+    events = []; events_dropped = 0 }
 
 (* A unit whose first execution outlives its lease is re-granted to
    another worker — without killing the slow holder, and without the

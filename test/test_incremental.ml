@@ -16,6 +16,7 @@ module Error = Symex.Error
 module Solver = Smt.Solver
 module Verify = Symsysc.Verify
 module Report = Symsysc.Report
+module Diff = Symsysc.Diff
 
 let scenario ?strategy ?workers () =
   Verify.scenario ~num_sources:4 ~t5_max_len:8 ?strategy ?workers ()
@@ -127,7 +128,10 @@ let check_midscope_resume strategy () =
     Alcotest.(check bool) "resumed run exhausted" true
       resumed.Report.engine.Engine.exhausted;
     Alcotest.(check bool) "mid-scope resume equals straight-through" true
-      (fingerprint resumed = fingerprint straight)
+      (fingerprint resumed = fingerprint straight);
+    (* The report diff adds the coverage map and its summary. *)
+    Alcotest.(check (list string)) "mid-scope resume report diff" []
+      (Diff.compare_reports (Report.to_json straight) (Report.to_json resumed))
 
 let midscope_cases =
   List.map

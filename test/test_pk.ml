@@ -391,6 +391,21 @@ let test_trace_rejects_time_reversal () =
     (Invalid_argument "Trace.change: time going backwards") (fun () ->
         Pk.Trace.change tr s (Sc_time.ns 5) 0L)
 
+(* ------------------------------------------------------------------ *)
+(* Event lifetime                                                      *)
+
+(* The kernel keeps no table of events, so one that nothing references
+   is garbage.  Random trials never reset event ids, so a registry
+   would keep every event they ever made alive. *)
+let[@inline never] make_transient_event w =
+  Weak.set w 0 (Some (Event.make "transient"))
+
+let test_event_collected () =
+  let w = Weak.create 1 in
+  make_transient_event w;
+  Gc.full_major ();
+  Alcotest.(check bool) "event collected" false (Weak.check w 0)
+
 let suite =
   [
     ("time: units", `Quick, test_time_units);
@@ -417,5 +432,6 @@ let suite =
     ("trace: time reversal rejected", `Quick, test_trace_rejects_time_reversal);
     ("sc_compat: veneer", `Quick, test_sc_compat);
     ("heavy kernel: functional equivalence", `Quick, test_heavy_kernel_equivalent);
+    ("pk: an unreachable event is collected", `Quick, test_event_collected);
   ]
   @ [ heap_prop ]

@@ -17,6 +17,7 @@ module Pool = Symex.Pool
 module Expr = Smt.Expr
 module Verify = Symsysc.Verify
 module Report = Symsysc.Report
+module Diff = Symsysc.Diff
 
 let scenario ?strategy ?workers () =
   Verify.scenario ~num_sources:4 ~t5_max_len:8 ?strategy ?workers ()
@@ -61,7 +62,12 @@ let check_equiv strategy name () =
        Alcotest.(check bool)
          (Printf.sprintf "fingerprint equals sequential at %d workers" workers)
          true
-         (fingerprint par = fingerprint seq))
+         (fingerprint par = fingerprint seq);
+       (* The report diff adds the coverage map and its summary. *)
+       Alcotest.(check (list string))
+         (Printf.sprintf "report diff against sequential at %d workers" workers)
+         []
+         (Diff.compare_reports (Report.to_json seq) (Report.to_json par)))
     [ 2; 4 ]
 
 let equiv_cases =
@@ -83,9 +89,7 @@ let unit_ok ?(forks = []) () =
     instructions = 1; degraded = false; solver = Smt.Solver.Stats.zero;
     requeue = None; chaos = [];
     coverage = Obs.Coverage.zero; profile = Obs.Profile.zero;
-    events = []; events_dropped = 0;
-    snapshots_taken = 0; snapshot_restores = 0; replay_fallbacks = 0;
-    instructions_saved = 0 }
+    events = []; events_dropped = 0 }
 
 (* A worker SIGKILLed in the middle of a unit must have its prefix
    re-queued and served by a surviving worker.  The exec callback runs
