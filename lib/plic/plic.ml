@@ -65,12 +65,11 @@ let enable_words cfg = (cfg.Config.num_sources + 1 + 31) / 32
 
 let priority_of t id = Mem.read32 t.priorities (4 * (id - 1))
 let threshold_of t = Mem.read32 t.threshold 0
+let is_set byte = Expr.ne byte (Expr.int ~width:8 0)
+let pending_is_set t id = is_set (Mem.read_byte t.pending id)
 
 let enabled_bit t id =
-  let word = Mem.read32 t.enable (4 * (id / 32)) in
-  Value.bit word (id mod 32)
-
-let pending_is_set t id = Expr.ne (Mem.read_byte t.pending id) (Expr.int ~width:8 0)
+  Value.bit (Mem.read32 t.enable (4 * (id / 32))) (id mod 32)
 
 let set_priority t id v = Mem.write32 t.priorities (4 * (id - 1)) v
 
@@ -91,8 +90,17 @@ let above_threshold t prio =
   if fault_on t Fault.IF6 then Value.ge prio (threshold_of t)
   else Value.gt prio (threshold_of t)
 
+(* Source [id]'s gate: its pending byte is set and its enable bit is
+   on.  Both gates and the pending-word packing below are derived terms
+   keyed on the byte, the word and the bit index alone, so every PLIC
+   shares them; [consider] reads the enable word before the gate builds
+   the pending side, the order the terms were always built in. *)
+let gate bit byte word = Expr.and_ (is_set byte) (Value.bit word bit)
+let gate_d = Expr.derivation "plic:consider"
+
 let consider t id =
-  Expr.and_ (pending_is_set t id) (enabled_bit t id)
+  let word = Mem.read32 t.enable (4 * (id / 32)) in
+  Expr.derive gate_d (id mod 32) (Mem.read_byte t.pending id) word gate
 
 let hart_has_pending_enabled_interrupts t =
   let n = t.cfg.Config.num_sources in
@@ -210,7 +218,12 @@ let complete t ~hart:h =
   end
 
 (* Pack the pending latch into the memory-mapped pending words (pure
-   term construction, no forking). *)
+   term construction, no forking), one derived step per source. *)
+let pack_step bit word byte =
+  Expr.bor word (Expr.ite (is_set byte) (Value.of_int (1 lsl bit)) Value.zero)
+
+let pack_step_d = Expr.derivation "plic:pack-pending"
+
 let pack_pending t =
   let n = t.cfg.Config.num_sources in
   for w = 0 to enable_words t.cfg - 1 do
@@ -218,12 +231,9 @@ let pack_pending t =
     for bit = 0 to 31 do
       let id = (32 * w) + bit in
       if id >= 1 && id <= n then
-        let b =
-          Expr.ite (pending_is_set t id)
-            (Value.of_int (1 lsl bit))
-            Value.zero
-        in
-        word := Value.bor !word b
+        word :=
+          Expr.derive pack_step_d bit !word (Mem.read_byte t.pending id)
+            pack_step
     done;
     Mem.write32 t.pending_mmio (4 * w) !word
   done

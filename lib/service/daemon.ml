@@ -271,13 +271,18 @@ let run ?pressure_mb ~listener opts =
   while !result = None do
     if Chaos.fire Chaos.Service_kill then
       Unix.kill (Unix.getpid ()) Sys.sigkill;
-    (match
-       Unix.select [ Transport.listener_fd listener ] [] [] opts.poll_s
-     with
-     | [], _, _ -> ()
-     | _ :: _, _, _ -> serve_one_client ()
-     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+    let client =
+      match
+        Unix.select [ Transport.listener_fd listener ] [] [] opts.poll_s
+      with
+      | [], _, _ -> false
+      | _ :: _, _, _ -> true
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+    in
+    (* Reap before answering, so a status request sees every job whose
+       process has already exited. *)
     reap ();
+    if client then serve_one_client ();
     let now = Unix.gettimeofday () in
     (* Per-job wall-clock timeout: SIGKILL, counted as a failed attempt. *)
     (match opts.job_timeout_s with

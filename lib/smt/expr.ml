@@ -109,22 +109,28 @@ let[@inline] probe tag a b c =
   let mask = (Array.length k / 4) - 1 in
   probe_from k mask (key_hash tag a b c land mask) tag a b c
 
-let grow () =
-  let s = !slots and k = !keys in
+(* The same entries in twice the slots.  Slot [i] holds [w] ints from
+   [k.(w * i)], the first four its key: [w] is 4 here and 5 in the
+   derived-term table below. *)
+let rehash w s k =
   let n = 2 * Array.length s in
-  let s' = Array.make n vacant and k' = Array.make (4 * n) 0 in
+  let s' = Array.make n vacant and k' = Array.make (w * n) 0 in
   let mask = n - 1 in
   for i = 0 to Array.length s - 1 do
-    let j = 4 * i in
+    let j = w * i in
     if k.(j) <> 0 then begin
       let i' = ref (key_hash k.(j) k.(j + 1) k.(j + 2) k.(j + 3) land mask) in
-      while k'.(4 * !i') <> 0 do i' := (!i' + 1) land mask done;
+      while k'.(w * !i') <> 0 do i' := (!i' + 1) land mask done;
       s'.(!i') <- s.(i);
-      Array.blit k j k' (4 * !i') 4
+      Array.blit k j k' (w * !i') w
     end
   done;
-  slots := s';
-  keys := k'
+  (s', k')
+
+let grow () =
+  let s, k = rehash 4 !slots !keys in
+  slots := s;
+  keys := k
 
 (* Only valid right after a [probe] of the same key that returned
    [vacant]. *)
@@ -158,6 +164,75 @@ let without_counting f =
   else begin
     counting := false;
     Fun.protect ~finally:(fun () -> counting := true) f
+  end
+
+(* Derived terms.  A second open-addressing table, shaped like the
+   hash-cons table, maps (derivation, parameter, id of a, id of b) to
+   the term a derivation built from those inputs and to the
+   instructions its first counted run made.  Slot [i]'s key and count
+   are [dkeys.(5i)] to [dkeys.(5i + 4)]; derivation tags start at 1, so
+   a zero tag marks an empty slot.  Ids name terms exactly (terms are
+   hash-consed and variables are fresh), and every table slot keeps its
+   result alive, so a hit returns the very term the derivation would
+   build again.  It starts at 1,024 slots: a benchmark sample holds
+   fewer than 700 entries. *)
+type derivation = int
+
+let derivation_names = ref []
+
+let derivation name =
+  if List.mem name !derivation_names then
+    invalid_arg ("Expr.derivation: duplicate name " ^ name);
+  derivation_names := name :: !derivation_names;
+  List.length !derivation_names
+
+let initial_derived = 1_024
+let dresults = ref (Array.make initial_derived vacant)
+let dkeys = ref (Array.make (5 * initial_derived) 0)
+let doccupied = ref 0
+
+(* The slot holding this key, or [lnot] of the empty slot where a probe
+   for it stops. *)
+let rec dprobe_from k mask i d p a b =
+  let j = 5 * i in
+  let d' = k.(j) in
+  if d' = 0 then lnot i
+  else if d' = d && k.(j + 1) = p && k.(j + 2) = a && k.(j + 3) = b then i
+  else dprobe_from k mask ((i + 1) land mask) d p a b
+
+let[@inline] dprobe d p a b =
+  let k = !dkeys in
+  let mask = Array.length !dresults - 1 in
+  dprobe_from k mask (key_hash d p a b land mask) d p a b
+
+let dgrow () =
+  let r, k = rehash 5 !dresults !dkeys in
+  dresults := r;
+  dkeys := k
+
+let derive d param a b f =
+  let i = dprobe d param a.id b.id in
+  if i >= 0 then begin
+    add_instructions !dkeys.((5 * i) + 4);
+    !dresults.(i)
+  end
+  else if not !counting then f param a b
+  else begin
+    let before = !instructions in
+    let t = f param a b in
+    let cost = !instructions - before in
+    (* [f] may have grown the table: probe again for the slot. *)
+    let i = lnot (dprobe d param a.id b.id) in
+    let k = !dkeys and j = 5 * i in
+    !dresults.(i) <- t;
+    k.(j) <- d;
+    k.(j + 1) <- param;
+    k.(j + 2) <- a.id;
+    k.(j + 3) <- b.id;
+    k.(j + 4) <- cost;
+    incr doccupied;
+    if 2 * !doccupied > Array.length !dresults then dgrow ();
+    t
   end
 
 let tru = fresh Bool (Bool_const true)

@@ -87,6 +87,41 @@ val without_counting : (unit -> 'a) -> 'a
     scope history; counting it would make the instruction total depend
     on the strategy, the worker count and where a run was resumed. *)
 
+(* Derived terms. *)
+
+type derivation
+(** Names one site that builds a term from two terms and an integer
+    parameter by a pure function. *)
+
+val derivation : string -> derivation
+(** [derivation name] registers a site.  Call it once per site, at
+    module initialisation, never per device: entries are keyed by
+    derivation, not by instance, so every device shares them.  Raises
+    [Invalid_argument] on a name already registered. *)
+
+val derive : derivation -> int -> t -> t -> (int -> t -> t -> t) -> t
+(** [derive d param a b f] is [f param a b], built once per process.
+
+    A process-wide table, keyed like the hash-cons table by
+    [(d, param, a.id, b.id)], holds the result of [f] and the
+    instructions its first counted run made (nested derivations
+    included).  A hit returns that same term and adds that count, the
+    rule [Symex.Mem.read32]'s word cache follows, so instruction totals
+    and the ids handed out do not depend on what the table holds.  A
+    miss runs [f], which builds its terms in the order a direct call
+    does, and inserts after [f] returns (as [f] may grow the table).  A
+    miss inside {!without_counting} runs [f] and records nothing, so a
+    later counted call still counts the full cost.  The table never
+    shrinks; every result it keeps is a term the derivation's inputs
+    already determine.
+
+    The contract on [f]:
+    - it is a pure function of [(param, a, b)]: it calls no engine
+      function and reads no mutable state;
+    - every other input it needs (a range's base and size, a memory's
+      size, a bit index) goes into [param];
+    - it is a toplevel function, so that a hit allocates nothing. *)
+
 (* Leaves. *)
 
 val tru : t

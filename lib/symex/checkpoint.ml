@@ -6,6 +6,7 @@ type t = {
   frontier : (string * Decision.t array) list;
   leases : (string * Decision.t array * int) list;
   visits : (string * int) list;
+  coverage : Obs.Coverage.t;
   rng : int64;
   paths : int;
   completed : int;
@@ -72,6 +73,7 @@ let to_json t =
             (fun (site, n) ->
                Json.Obj [ ("site", Json.Str site); ("count", Json.Int n) ])
             t.visits));
+      ("coverage", Obs.Coverage.to_json t.coverage);
       ("paths", Json.Int t.paths);
       ("completed", Json.Int t.completed);
       ("errored", Json.Int t.errored);
@@ -195,12 +197,18 @@ let of_json j =
     | Some sj -> Smt.Solver.Stats.of_json sj
     | None -> Smt.Solver.Stats.zero
   in
+  let coverage =
+    match Json.member "coverage" j with
+    | Some cj -> Obs.Coverage.of_json cj
+    | None -> Obs.Coverage.zero
+  in
   Ok
     { label;
       strategy;
       frontier;
       leases;
       visits;
+      coverage;
       rng;
       paths = Option.value ~default:0 (int "paths");
       completed = Option.value ~default:0 (int "completed");

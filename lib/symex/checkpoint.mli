@@ -3,11 +3,12 @@
     A checkpoint captures everything the engine needs to continue an
     interrupted run as if it had never stopped: the pending frontier
     (decision prefixes with their fork sites), the search state (visit
-    counts and PRNG state), the accumulated counters and wall time,
-    the solver activity so far, and the errors already found.  Because
-    prefixes record concretization {e values} (see {!Decision}), a
-    resumed run replays them without consulting the solver and reaches
-    byte-identical verdicts, path totals and bug sites.
+    counts and PRNG state), the accumulated counters, coverage and
+    wall time, the solver activity so far, and the errors already
+    found.  Because prefixes record concretization {e values} (see
+    {!Decision}), a resumed run replays them without consulting the
+    solver and reaches byte-identical verdicts, path totals, coverage
+    and bug sites.
 
     Checkpoints are single-line JSON written atomically
     (tmp-and-rename), so a run killed mid-write never leaves a torn
@@ -31,6 +32,10 @@ type t = {
           sequential runs and absent in pre-lease checkpoints (decoded
           as [[]]). *)
   visits : (string * int) list;
+  coverage : Obs.Coverage.t;
+      (** coverage of the paths settled so far, so a resumed report
+          equals a straight one on coverage too; absent in older
+          checkpoints (decoded as {!Obs.Coverage.zero}) *)
   rng : int64;
   paths : int;
   completed : int;

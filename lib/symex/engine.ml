@@ -20,9 +20,6 @@ type config = {
   stop_after_errors : int option;
 }
 
-let default_config =
-  { strategy = Search.Dfs; limits = no_limits; stop_after_errors = None }
-
 type checkpoint_policy = Checkpoint.policy = {
   write : Checkpoint.t -> unit;
   every_s : float;
@@ -753,13 +750,14 @@ let exec_path st body ~prefix =
 (* A checkpoint is a pure function of the exploration state; [final]
    distinguishes the last snapshot of a stopped run (which records the
    stop reason) from a periodic one. *)
-let snapshot ~label st solver_base ~final =
+let snapshot ~label st solver_base ~coverage ~final =
   {
     Checkpoint.label;
     strategy = Search.strategy_to_string st.cfg.strategy;
     frontier = Search.entries st.frontier;
     leases = [];
     visits = Search.visit_counts st.frontier;
+    coverage;
     rng = Search.rng_state st.frontier;
     paths = st.n_paths;
     completed = st.n_completed;
@@ -805,9 +803,18 @@ let seq_run ~(config : config) ~label ?resume ?checkpoint body =
   let now = Unix.gettimeofday () in
   let chaos0 = Chaos.counts () in
   (* Coverage/profile baselines are process-global deltas like the
-     solver stats; checkpoints do not carry them, so a resumed run
-     reports post-resume coverage only. *)
+     solver stats.  A checkpoint carries the coverage recorded before
+     it, so a resumed run's coverage is that plus this process's
+     delta. *)
   let coverage0 = Obs.Coverage.get () in
+  let carried =
+    match resume with
+    | None -> Obs.Coverage.zero
+    | Some ck -> ck.Checkpoint.coverage
+  in
+  let coverage () =
+    Obs.Coverage.add carried (Obs.Coverage.sub (Obs.Coverage.get ()) coverage0)
+  in
   let profile0 = Obs.Profile.get () in
   let st =
     {
@@ -884,7 +891,9 @@ let seq_run ~(config : config) ~label ?resume ?checkpoint body =
               let t = Unix.gettimeofday () in
               if t -. !last_checkpoint >= policy.every_s then begin
                 last_checkpoint := t;
-                policy.write (snapshot ~label st solver_stats0 ~final:false)
+                policy.write
+                  (snapshot ~label st solver_stats0 ~coverage:(coverage ())
+                     ~final:false)
               end
             | None -> ());
            match Search.pop st.frontier with
@@ -920,7 +929,9 @@ let seq_run ~(config : config) ~label ?resume ?checkpoint body =
          totals. *)
       (match checkpoint with
        | Some policy ->
-         policy.write (snapshot ~label st solver_stats0 ~final:true)
+         policy.write
+           (snapshot ~label st solver_stats0 ~coverage:(coverage ())
+              ~final:true)
        | None -> ());
       let solver_stats =
         Solver.Stats.sub (Solver.Stats.get ()) solver_stats0
@@ -961,7 +972,7 @@ let seq_run ~(config : config) ~label ?resume ?checkpoint body =
           { no_resilience with
             res_checkpoint_fallbacks = Checkpoint.fallbacks ();
             res_chaos = Chaos.sub_counts (Chaos.counts ()) chaos0 };
-        coverage = Obs.Coverage.sub (Obs.Coverage.get ()) coverage0;
+        coverage = coverage ();
         profile = Obs.Profile.sub (Obs.Profile.get ()) profile0;
         events_dropped = Obs.Export.dropped_total ();
         snapshot_restores = 0;
@@ -1215,7 +1226,8 @@ module Session = struct
     { strategy; limits; stop_after_errors; checkpoint; resume; seed; workers;
       heartbeat_ms; listen; lease_ms; cookie; validate }
 
-  let config t =
+  (* What the sequential loop and a pool worker's context read. *)
+  let to_config t : config =
     { strategy = t.strategy;
       limits = t.limits;
       stop_after_errors = t.stop_after_errors }
@@ -1223,7 +1235,7 @@ module Session = struct
   let run ?(label = "run") t body =
     let rep =
       if t.workers = 1 && t.listen = None then
-        seq_run ~config:(config t) ~label ?resume:t.resume
+        seq_run ~config:(to_config t) ~label ?resume:t.resume
           ?checkpoint:t.checkpoint body
       else begin
         (match !mode with
@@ -1244,7 +1256,7 @@ module Session = struct
         in
         (* The context is created lazily so it materializes in each
            worker process after the fork, never in the master. *)
-        let ctx = lazy (unit_ctx (config t)) in
+        let ctx = lazy (unit_ctx (to_config t)) in
         let exec ~prefix = run_unit (Lazy.force ctx) body ~prefix in
         let r =
           Pool.run pool_cfg ?resume:t.resume ?checkpoint:t.checkpoint ~exec ()
@@ -1298,7 +1310,7 @@ module Session = struct
      | Off -> ()
      | Explore _ | Replay _ | Rand _ ->
        failwith "Engine.Session.serve: nested runs are not allowed");
-    let ctx = lazy (unit_ctx (config t)) in
+    let ctx = lazy (unit_ctx (to_config t)) in
     let exec ~prefix = run_unit (Lazy.force ctx) body ~prefix in
     Pool.serve ~host ~port ~workers ~label ~strategy:t.strategy
       ?cookie:t.cookie ?backoff_seed ~exec ()

@@ -60,15 +60,6 @@ type limits = Budget.t = {
 
 val no_limits : limits
 
-type config = {
-  strategy : Search.strategy;
-  limits : limits;
-  stop_after_errors : int option;
-      (** stop exploration once this many distinct errors are known *)
-}
-
-val default_config : config
-
 type checkpoint_policy = Checkpoint.policy = {
   write : Checkpoint.t -> unit;
       (** called with a frontier snapshot; typically
@@ -147,14 +138,15 @@ type report = {
           because the benchmark harness still reads them. *)
 }
 
-(** The unified exploration entry point: one value carrying everything
-    that used to be spread over [Engine.run]'s argument bundle
-    (config, checkpoint policy, resume state, seed, worker count). *)
+(** The unified exploration entry point: one value carrying the
+    strategy, budgets, error threshold, checkpoint policy, resume state,
+    seed and worker count. *)
 module Session : sig
   type t = {
     strategy : Search.strategy;
     limits : limits;
     stop_after_errors : int option;
+        (** stop exploration once this many distinct errors are known *)
     checkpoint : Checkpoint.policy option;
     resume : Checkpoint.t option;
     seed : int option;     (** recorded seed (drives the default
@@ -206,10 +198,6 @@ module Session : sig
       [Invalid_argument] when [workers < 1] without [listen] (with a
       listener [workers = 0] is allowed — remote peers do all the
       work), or when [heartbeat_ms < 1] or [lease_ms < 1]. *)
-
-  val config : t -> config
-  (** The legacy config bundle this session denotes (strategy, limits,
-      error threshold) — for code still on the deprecated API. *)
 
   val run : ?label:string -> t -> (unit -> unit) -> report
   (** Explore a testbench under this session.  Nested runs are not

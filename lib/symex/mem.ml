@@ -136,10 +136,16 @@ let fill_zero t =
   unshare t;
   Array.fill t.data 0 (Array.length t.data) (Lazy.force byte_zero)
 
-(* offset + len <= size, computed without 32-bit wrap by extending. *)
-let in_bounds t ~offset ~len =
+(* offset + len <= size, computed without 32-bit wrap by extending.  A
+   derived term: the memory's size is the parameter, so every memory of
+   one size shares the entry. *)
+let bounds size offset len =
   let off64 = Expr.zext 64 offset and len64 = Expr.zext 64 len in
-  Expr.ule (Expr.add off64 len64) (Expr.int ~width:64 (size t))
+  Expr.ule (Expr.add off64 len64) (Expr.int ~width:64 size)
+
+let in_bounds_d = Expr.derivation "mem:in-bounds"
+
+let in_bounds t ~offset ~len = Expr.derive in_bounds_d (size t) offset len bounds
 
 let bounds_check ?site t ~offset ~len text =
   let default_site, message = Lazy.force text in

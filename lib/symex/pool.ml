@@ -596,6 +596,7 @@ let run cfg ?resume ?checkpoint ~exec () =
      n_unknown := ck.Checkpoint.unknown;
      instr := ck.Checkpoint.instructions;
      solver_acc := ck.Checkpoint.solver;
+     coverage_acc := ck.Checkpoint.coverage;
      degraded := ck.Checkpoint.degraded;
      (* Units that were granted but unsettled at snapshot time re-enter
         through the pending queue with their attempt counts intact.
@@ -745,6 +746,7 @@ let run cfg ?resume ?checkpoint ~exec () =
              (e.Lease.l_site, e.Lease.l_prefix, e.Lease.l_attempts))
           entries;
       visits = Search.visit_counts frontier;
+      coverage = !coverage_acc;
       rng = Search.rng_state frontier;
       paths = !n_paths - List.length entries;
       completed = !n_completed;

@@ -22,18 +22,19 @@ type range = {
   write_denied : string;
 }
 
+(* [ranges] is in registration order, the order dispatch tries them. *)
 type t = {
   rf_name : string;
   rf_policy : policy;
-  mutable rev_ranges : range list;
+  mutable ranges : range list;
 }
 
 let create ?(policy = Original) ~name () =
-  { rf_name = name; rf_policy = policy; rev_ranges = [] }
+  { rf_name = name; rf_policy = policy; ranges = [] }
 
 let policy t = t.rf_policy
 let name t = t.rf_name
-let ranges t = List.rev t.rev_ranges
+let ranges t = t.ranges
 
 let overlaps a b =
   a.base < b.base + b.rg_size && b.base < a.base + a.rg_size
@@ -44,6 +45,9 @@ let denied cmd name =
     (Payload.command_to_string cmd) name
 
 let add_range t ~name ~base ~access ?pre_read ?post_write backing =
+  if base < 0 || base > 0xFFFF_FFFF || Mem.size backing >= 1 lsl 30 then
+    invalid_arg
+      (Printf.sprintf "Register.add_range: %s lies outside the 32-bit map" name);
   let range =
     {
       rg_name = name;
@@ -59,21 +63,21 @@ let add_range t ~name ~base ~access ?pre_read ?post_write backing =
       write_denied = denied Payload.Write name;
     }
   in
-  (match List.find_opt (overlaps range) t.rev_ranges with
+  (match List.find_opt (overlaps range) t.ranges with
    | Some other ->
      invalid_arg
        (Printf.sprintf "Register.add_range: %s overlaps %s" name other.rg_name)
    | None -> ());
-  if List.exists (fun r -> r.rg_name = name) t.rev_ranges then
+  if List.exists (fun r -> r.rg_name = name) t.ranges then
     invalid_arg ("Register.add_range: duplicate name " ^ name);
-  t.rev_ranges <- range :: t.rev_ranges;
+  t.ranges <- t.ranges @ [ range ];
   if Engine.exploring () then
     Obs.Coverage.declare ~peripheral:t.rf_name ~register:name
       ~size:range.rg_size;
   range
 
 let find_range t name =
-  match List.find_opt (fun r -> r.rg_name = name) t.rev_ranges with
+  match List.find_opt (fun r -> r.rg_name = name) t.ranges with
   | Some r -> r
   | None -> raise Not_found
 
@@ -84,11 +88,17 @@ exception Done
 (* Range-match predicate.  The original implementation matches on the
    start address only — the root cause of F5; the fixed one requires the
    whole [addr, addr+len) window to fit.  Computed in 64 bits to avoid
-   32-bit wrap-around on [addr + len]. *)
-let range_match policy r ~addr ~len =
+   32-bit wrap-around on [addr + len].  A derived term, one derivation
+   per policy: the parameter carries the range's base in its low 32
+   bits and its size above them, so every register file sharing a
+   memory map shares the entries. *)
+let range_param r = (r.rg_size lsl 32) lor r.base
+
+let range_match policy param addr len =
+  let base = param land 0xFFFF_FFFF and size = param lsr 32 in
   let addr64 = Expr.zext 64 addr in
-  let base64 = Expr.int ~width:64 r.base in
-  let end64 = Expr.int ~width:64 (r.base + r.rg_size) in
+  let base64 = Expr.int ~width:64 base in
+  let end64 = Expr.int ~width:64 (base + size) in
   let starts_inside =
     Expr.and_ (Expr.ule base64 addr64) (Expr.ult addr64 end64)
   in
@@ -97,6 +107,16 @@ let range_match policy r ~addr ~len =
   | Fixed ->
     let upper = Expr.add addr64 (Expr.zext 64 len) in
     Expr.and_ (Expr.ule base64 addr64) (Expr.ule upper end64)
+
+let match_original param addr len = range_match Original param addr len
+let match_fixed param addr len = range_match Fixed param addr len
+let match_original_d = Expr.derivation "register:match:original"
+let match_fixed_d = Expr.derivation "register:match:fixed"
+
+let matches policy r ~addr ~len =
+  match policy with
+  | Original -> Expr.derive match_original_d (range_param r) addr len match_original
+  | Fixed -> Expr.derive match_fixed_d (range_param r) addr len match_fixed
 
 let allowed cmd access =
   match cmd, access with
@@ -174,6 +194,7 @@ let transport t (p : Payload.t) delay =
       | Payload.Write, (Original | Fixed) -> ());
      (* Range lookup, forking over which register the (symbolic)
         address hits. *)
+     let addr = p.Payload.addr and len = p.Payload.len in
      let rec dispatch = function
        | [] ->
          (* F3: no register mapping handles the address. *)
@@ -188,16 +209,14 @@ let transport t (p : Payload.t) delay =
             p.Payload.response <- Payload.Address_error;
             raise Done)
        | r :: rest ->
-         let matches = range_match t.rf_policy r ~addr:p.Payload.addr ~len:p.Payload.len in
-         if Value.truth ~site:r.match_site matches then serve t p r
+         if Value.truth ~site:r.match_site (matches t.rf_policy r ~addr ~len)
+         then serve t p r
          else begin
            (* Under the fixed policy, distinguish a boundary crossing
               (burst error) from a plain unmapped address. *)
            (match t.rf_policy with
             | Fixed ->
-              let starts_inside =
-                range_match Original r ~addr:p.Payload.addr ~len:p.Payload.len
-              in
+              let starts_inside = matches Original r ~addr ~len in
               if Value.truth ~site:r.burst_site starts_inside
               then begin
                 p.Payload.response <- Payload.Burst_error;
@@ -207,6 +226,6 @@ let transport t (p : Payload.t) delay =
            dispatch rest
          end
      in
-     dispatch (ranges t)
+     dispatch t.ranges
    with Done -> ());
   Pk.Sc_time.add delay access_latency

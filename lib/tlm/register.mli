@@ -64,9 +64,10 @@ val add_range :
 (** Register a range backed by the given memory (its size defines the
     range size).  Ranges must not overlap and names must be distinct
     (a name keys the range's coverage row and its branch sites);
-    both are checked at registration.  The range's sites and F4
-    messages are formatted here, once, so dispatch formats no string
-    per access. *)
+    both are checked at registration, as is that the range lies in the
+    32-bit device map (a non-negative base below 2{^32} and a size
+    below 2{^30} bytes).  The range's sites and F4 messages are
+    formatted here, once, so dispatch formats no string per access. *)
 
 val find_range : t -> string -> range
 (** Lookup by name; raises [Not_found]. *)

@@ -254,7 +254,7 @@ let mk_ck label =
   { Checkpoint.label; strategy = "dfs";
     frontier = [ ("root", [| Decision.Dir true |]) ];
     leases = [];
-    visits = [ ("root", 1) ]; rng = 7L; paths = 1; completed = 1;
+    visits = [ ("root", 1) ]; coverage = Obs.Coverage.zero; rng = 7L; paths = 1; completed = 1;
     errored = 0; infeasible = 0; unknown = 0; instructions = 3;
     wall_time = 0.1; solver = Solver.Stats.zero; errors = [];
     degraded = false; stop_reason = None }

@@ -541,6 +541,7 @@ let blank_lease_checkpoint ~label ~leases =
     frontier = [];
     leases;
     visits = [];
+    coverage = Obs.Coverage.zero;
     rng = Search.rng_state (Search.create Search.Dfs);
     paths = 0;
     completed = 0;

@@ -293,6 +293,102 @@ let test_probes () =
   Alcotest.(check bool) "pending clear" true
     (Expr.to_bool (Plic.pending_is_set rig.dut 7) = Some false)
 
+(* ------------------------------------------------------------------ *)
+(* Derived terms                                                       *)
+
+(* Range matches, bounds terms, gates and pending words are derived
+   terms, shared by every PLIC in the process.  A seeded script run on
+   a fresh PLIC, then on a second fresh one (every derivation now a
+   hit), must give each operation the same terms and the same
+   instruction count, and the second run must build no new term.  The
+   11-source map gives the ranges and memories sizes no other test
+   uses, so the first run misses. *)
+type script_op =
+  | Write of int * int  (** offset, value *)
+  | Read of int
+  | Trigger of int
+  | Claim_complete
+
+let derived_cfg = Config.scaled ~num_sources:11
+
+let derived_script =
+  let n = derived_cfg.Config.num_sources in
+  let rng = Random.State.make [| 20 |] in
+  let priority () = Config.priority_base + (4 * Random.State.int rng n) in
+  let mapped () =
+    match Random.State.int rng 5 with
+    | 0 -> Config.pending_base
+    | 1 -> Config.enable_base
+    | 2 -> Config.threshold_base
+    | 3 -> priority ()
+    | _ -> 0x3000 (* unmapped *)
+  in
+  List.init 300 (fun _ ->
+      match Random.State.int rng 8 with
+      | 0 | 1 -> Write (priority (), Random.State.int rng 8)
+      | 2 -> Write (Config.threshold_base, Random.State.int rng 4)
+      | 3 -> Write (mapped (), Random.State.bits rng)
+      | 4 -> Read (mapped ())
+      | 5 | 6 -> Trigger (Random.State.int rng (n + 2))
+      | _ -> Claim_complete)
+
+let run_script () =
+  let sched = Pk.Scheduler.create () in
+  let dut = Plic.create ~variant:Config.Fixed derived_cfg sched in
+  Pk.Scheduler.run_ready sched;
+  (* A payload's response and data terms. *)
+  let tlm p =
+    ignore (Plic.transport dut p Sc_time.zero);
+    (p.Payload.response, Array.to_list p.Payload.data)
+  in
+  let op = function
+    | Write (off, v) ->
+      tlm (Payload.make_write32 ~addr:(Value.of_int off) ~value:(Value.of_int v))
+    | Read off ->
+      tlm (Payload.make_read ~addr:(Value.of_int off) ~len:(Value.of_int 4))
+    | Trigger id ->
+      Plic.trigger_interrupt dut (Value.of_int id);
+      ( Payload.Ok_response,
+        if id >= 1 && id <= derived_cfg.Config.num_sources then
+          [ Plic.pending_is_set dut id ]
+        else [] )
+    | Claim_complete ->
+      let p =
+        Payload.make_read ~addr:(Value.of_int Config.claim_base)
+          ~len:(Value.of_int 4)
+      in
+      let claimed = tlm p in
+      ignore
+        (tlm
+           (Payload.make_write32 ~addr:(Value.of_int Config.claim_base)
+              ~value:(Payload.data32 p)));
+      claimed
+  in
+  Plic.set_enable_all dut;
+  List.map
+    (fun o ->
+       let before = Expr.instruction_count () in
+       let response, ts = op o in
+       ignore (Pk.Scheduler.step sched);
+       (response, ts, Expr.instruction_count () - before))
+    derived_script
+
+let test_derived_terms_replay () =
+  let mark () = (Expr.fresh_var "mark" 1).Expr.id in
+  let first = run_script () in
+  let start = mark () in
+  let second = run_script () in
+  Alcotest.(check int) "the second run builds no term" (start + 1) (mark ());
+  List.iteri
+    (fun i ((r1, t1, n1), (r2, t2, n2)) ->
+       let what = Printf.sprintf "op %d" i in
+       Alcotest.(check string) (what ^ ": response")
+         (Payload.response_to_string r1) (Payload.response_to_string r2);
+       Alcotest.(check bool) (what ^ ": same terms") true
+         (List.length t1 = List.length t2 && List.for_all2 ( == ) t1 t2);
+       Alcotest.(check int) (what ^ ": same instructions") n1 n2)
+    (List.combine first second)
+
 let suite =
   [
     ("delivery: notify after one cycle", `Quick, test_trigger_notifies_after_cycle);
@@ -318,4 +414,6 @@ let suite =
     ("fault IF5: skips pending clear", `Quick, test_if5_skips_clear);
     ("fault IF6: threshold off-by-one", `Quick, test_if6_threshold_off_by_one);
     ("white-box probes", `Quick, test_probes);
+    ("derived terms: a second PLIC replays the first", `Quick,
+     test_derived_terms_replay);
   ]

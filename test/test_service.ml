@@ -689,6 +689,51 @@ let test_daemon_sheds_under_pressure () =
            (fun (j : Supervisor.job) -> j.Supervisor.budget_scale < 1.0)
            jobs))
 
+(* The loop reaps exited jobs before it answers a client.  With a poll
+   period longer than the test, only requests wake the daemon, so the
+   first status after the job's process has exited must already read
+   finished. *)
+let test_daemon_status_after_exit () =
+  with_dir "symsysc_status" (fun dir ->
+      let pid, port =
+        spawn_daemon dir ~opts_f:(fun o -> { o with Daemon.poll_s = 30. })
+      in
+      let state =
+        Fun.protect
+          ~finally:(fun () ->
+            (match Client.drain ~host:"127.0.0.1" ~port with
+             | Ok () -> ()
+             | Error _ -> (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()));
+            ignore (wait_exit pid))
+          (fun () ->
+             wait_for_daemon ~port 100;
+             let id =
+               submit_ok ~port
+                 { Jobspec.default with Jobspec.peripheral = "uart"; test = "loopback" }
+             in
+             let report = Runner.report_path ~journal_dir:dir id in
+             let rec await n =
+               if not (Sys.file_exists report) then
+                 if n = 0 then Alcotest.fail "the job never wrote its report"
+                 else begin
+                   Unix.sleepf 0.02;
+                   await (n - 1)
+                 end
+             in
+             await 1500;
+             Unix.sleepf 0.3;
+             match Client.status ~host:"127.0.0.1" ~port with
+             | Error msg -> Alcotest.fail ("status: " ^ msg)
+             | Ok doc ->
+               (match Option.bind (Json.member "jobs" doc) Json.to_list_opt with
+                | Some [ job ] ->
+                  Option.value ~default:"?"
+                    (Option.bind (Json.member "state" job) Json.to_string_opt)
+                | _ -> Alcotest.fail "expected exactly one job"))
+      in
+      Alcotest.(check string) "first status after the job exited" "finished"
+        state)
+
 let suite =
   [
     Alcotest.test_case "wal: round-trip" `Quick test_wal_roundtrip;
@@ -721,4 +766,6 @@ let suite =
       test_daemon_sheds_under_pressure;
     Alcotest.test_case "daemon: survives a malformed client frame" `Quick
       test_daemon_survives_malformed_frame;
+    Alcotest.test_case "daemon: status after exit" `Quick
+      test_daemon_status_after_exit;
   ]

@@ -584,6 +584,194 @@ let test_resident_fold_allocates_nothing () =
     (Printf.sprintf "4,000 resident folds took %.0f minor words (< 100)" words)
     true (words < 100.)
 
+(* Derived terms.  Three derivations over operands of one width: two
+   leaves and one that nests the first.  Each parameter carries a
+   nonce above its low byte, so every script's first call is a miss;
+   [derived_calls] counts the derivations' runs, which a hit must not
+   add to. *)
+let derived_calls = ref 0
+
+let dv_mix param a b =
+  incr derived_calls;
+  let k = Expr.int ~width:(Expr.width a) (param land 0xFF) in
+  Expr.ite (Expr.ult a b) (Expr.add a k) (Expr.bxor b k)
+
+let dv_bit param a b =
+  incr derived_calls;
+  let i = (param land 0xFF) mod Expr.width a in
+  Expr.ite
+    (Expr.and_ (Expr.ule a b) (Expr.eq (Expr.extract ~hi:i ~lo:i a) (Expr.int ~width:1 1)))
+    b a
+
+let dv_mix_d = Expr.derivation "test:mix"
+let dv_bit_d = Expr.derivation "test:bit"
+
+(* One level above [dv_mix]: [bnot] counts one instruction. *)
+let dv_nested param a b =
+  incr derived_calls;
+  Expr.bnot (Expr.derive dv_mix_d param a b dv_mix)
+
+let dv_nested_d = Expr.derivation "test:nested"
+
+let derivations =
+  [| (dv_mix_d, dv_mix); (dv_bit_d, dv_bit); (dv_nested_d, dv_nested) |]
+
+let derived_nonce = ref 0
+
+let fresh_param low =
+  incr derived_nonce;
+  (!derived_nonce lsl 8) lor low
+
+(* A term of width [w]: a constant, one of two variables, or a sum of
+   a variable and a constant. *)
+type dv_operand = Dv_const of int64 | Dv_var of int | Dv_sum of int * int64
+
+let dv_vars = Array.init 65 (fun w -> lazy (Array.init 2 (fun _ -> Expr.fresh_var "d" w)))
+
+let dv_term w = function
+  | Dv_const v -> Expr.const (Bv.make ~width:w v)
+  | Dv_var i -> (Lazy.force dv_vars.(w)).(i)
+  | Dv_sum (i, v) -> Expr.add (Lazy.force dv_vars.(w)).(i) (Expr.const (Bv.make ~width:w v))
+
+type dv_step = { dv_kind : int; dv_low : int; dv_a : dv_operand; dv_b : dv_operand }
+
+let gen_dv_script =
+  let open QCheck.Gen in
+  let operand =
+    frequency
+      [ (3, map (fun v -> Dv_const v) (oneof [ map Int64.of_int small_nat; ui64 ]));
+        (2, map (fun i -> Dv_var i) (int_bound 1));
+        (1, map2 (fun i v -> Dv_sum (i, Int64.of_int v)) (int_bound 1) small_nat) ]
+  in
+  let step =
+    map4 (fun k low a b -> { dv_kind = k; dv_low = low; dv_a = a; dv_b = b })
+      (int_bound 2) (int_bound 0xFF) operand operand
+  in
+  pair (oneofl [ 1; 8; 32; 64 ]) (list_size (int_range 1 12) step)
+
+let print_dv_operand = function
+  | Dv_const v -> Int64.to_string v
+  | Dv_var i -> Printf.sprintf "v%d" i
+  | Dv_sum (i, v) -> Printf.sprintf "v%d+%Ld" i v
+
+let print_dv_script (w, steps) =
+  Printf.sprintf "w=%d: %s" w
+    (String.concat "; "
+       (List.map
+          (fun s ->
+             Printf.sprintf "%d/%d %s %s" s.dv_kind s.dv_low (print_dv_operand s.dv_a)
+               (print_dv_operand s.dv_b))
+          steps))
+
+(* [f ()]'s result, the instructions it counted and the derivations it
+   ran. *)
+let measured f =
+  let i = Expr.instruction_count () and c = !derived_calls in
+  let t = f () in
+  (t, Expr.instruction_count () - i, !derived_calls - c)
+
+(* 2,000 entries made before any script and looked up after each, so
+   every script runs after the table has grown past its 1,024 initial
+   slots and checks that growth kept them. *)
+let derived_prefill =
+  lazy
+    (let x = Expr.fresh_var "p" 32 in
+     List.init 2000 (fun k ->
+         let param = fresh_param (k land 0xFF) and c = Expr.int ~width:32 k in
+         let t, cost, _ = measured (fun () -> Expr.derive dv_mix_d param x c dv_mix) in
+         (param, x, c, t, cost)))
+
+let prefill_kept () =
+  List.for_all
+    (fun (param, x, c, t, cost) ->
+       let t', cost', runs = measured (fun () -> Expr.derive dv_mix_d param x c dv_mix) in
+       t' == t && cost' = cost && runs = 0)
+    (Lazy.force derived_prefill)
+
+let prop_derived_equals_derivation =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:1000
+       ~name:"expr: a derived term equals its derivation"
+       (QCheck.make ~print:print_dv_script gen_dv_script)
+       (fun (w, steps) ->
+          let kept = ref [] in
+          List.iteri
+            (fun i s ->
+               let d, f = derivations.(s.dv_kind) in
+               let a = dv_term w s.dv_a and b = dv_term w s.dv_b in
+               let fail what =
+                 QCheck.Test.fail_reportf "step %d (%s): %s" i
+                   (print_dv_script (w, [ s ])) what
+               in
+               (* Cold, warm, and direct. *)
+               let p = fresh_param s.dv_low in
+               let cold, cost, runs = measured (fun () -> Expr.derive d p a b f) in
+               let warm, warm_cost, warm_runs =
+                 measured (fun () -> Expr.derive d p a b f)
+               in
+               let direct, direct_cost, _ = measured (fun () -> f p a b) in
+               if runs = 0 then fail "a cold call ran nothing";
+               if warm_runs <> 0 then fail "a hit ran its derivation";
+               if not (cold == direct && warm == direct) then
+                 fail "the result is not the direct call's term";
+               if warm_cost <> cost || direct_cost <> cost then
+                 fail
+                   (Printf.sprintf "counted %d cold, %d on a hit, %d direct" cost
+                      warm_cost direct_cost);
+               (* Nesting counts once per level: one [bnot] above the
+                  inner derivation's count. *)
+               (if s.dv_kind = 2 then
+                  let _, inner, _ =
+                    measured (fun () -> Expr.derive dv_mix_d p a b dv_mix)
+                  in
+                  if cost <> inner + 1 then
+                    fail (Printf.sprintf "nested counted %d over %d" cost inner));
+               (* A miss without counting records nothing, so the next
+                  counted call counts the full cost. *)
+               let q = fresh_param s.dv_low in
+               let _, full, _ = measured (fun () -> f q a b) in
+               let quiet, quiet_cost, quiet_runs =
+                 measured (fun () ->
+                     Expr.without_counting (fun () -> Expr.derive d q a b f))
+               in
+               let counted, counted_cost, counted_runs =
+                 measured (fun () -> Expr.derive d q a b f)
+               in
+               if quiet_cost <> 0 || quiet_runs = 0 then
+                 fail "an uncounted miss counted or ran nothing";
+               if counted_runs = 0 || counted_cost <> full || counted != quiet then
+                 fail
+                   (Printf.sprintf "a counted call after an uncounted miss counted %d of %d"
+                      counted_cost full);
+               kept := (d, f, p, a, b, cold, cost) :: (d, f, q, a, b, counted, full) :: !kept)
+            steps;
+          (* Every entry is still there, whatever grew the table. *)
+          List.for_all
+            (fun (d, f, p, a, b, t, cost) ->
+               let t', cost', runs = measured (fun () -> Expr.derive d p a b f) in
+               t' == t && cost' = cost && runs = 0)
+            !kept
+          && prefill_kept ()))
+
+let test_derived_hit_allocates_nothing () =
+  let x = Expr.fresh_var "h" 32 and c = Expr.int ~width:32 0x7F in
+  let p = Array.init 4 (fun k -> fresh_param k) in
+  let run () =
+    for _ = 1 to 1000 do
+      ignore (Sys.opaque_identity (Expr.derive dv_mix_d p.(0) x c dv_mix));
+      ignore (Sys.opaque_identity (Expr.derive dv_bit_d p.(1) c x dv_bit));
+      ignore (Sys.opaque_identity (Expr.derive dv_nested_d p.(2) x c dv_nested));
+      ignore (Sys.opaque_identity (Expr.derive dv_mix_d p.(3) c c dv_mix))
+    done
+  in
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "4,000 derived hits took %.0f minor words (< 100)" words)
+    true (words < 100.)
+
 (* ------------------------------------------------------------------ *)
 (* Interval                                                            *)
 
@@ -1712,4 +1900,7 @@ let suite =
        test_sat_rescale_pinned);
       prop_folding_equals_bv;
       ("expr: folding onto a resident constant allocates nothing", `Quick,
-       test_resident_fold_allocates_nothing) ]
+       test_resident_fold_allocates_nothing);
+      prop_derived_equals_derivation;
+      ("expr: a derived hit allocates nothing", `Quick,
+       test_derived_hit_allocates_nothing) ]

@@ -240,24 +240,14 @@ let matrix_cases =
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint/resume: a checkpoint stores its frontier as decision
-   prefixes, the same forks the engine and the pool hold.  A run cut
-   partway through a path, with some paths done (t4 runs about 5500
-   instructions over 34 paths), and resumed — sequentially or by a
-   4-worker pool — must land on the straight-through report.  The
-   checkpoint carries counters, errors and frontier but no coverage
-   map, so the resumed report's coverage covers the resumed segment
-   only and is left out; a cut before any path ends ("mid-scope
-   resume equivalence") compares coverage too. *)
+   prefixes, the same forks the engine and the pool hold, beside the
+   counters, errors and coverage of the paths settled before it.  A
+   run cut partway through a path, with some paths done (t4 runs about
+   5500 instructions over 34 paths), and resumed — sequentially or by
+   a 4-worker pool — must land on the straight-through report, coverage
+   included. *)
 
 let with_session sc f = { sc with Verify.session = f sc.Verify.session }
-
-let check_same_but_coverage label a b =
-  let diffs =
-    List.filter
-      (fun d -> not (String.starts_with ~prefix:"coverage" d))
-      (Diff.compare_reports (Report.to_json a) (Report.to_json b))
-  in
-  Alcotest.(check (list string)) label [] diffs
 
 let check_resume strategy () =
   let name = "t4" in
@@ -291,7 +281,7 @@ let check_resume strategy () =
          Alcotest.(check bool)
            (Printf.sprintf "resumed run exhausted at %d worker(s)" workers)
            true resumed.Report.engine.Engine.exhausted;
-         check_same_but_coverage
+         check_same
            (Printf.sprintf "resumed at %d worker(s) equals straight-through"
               workers)
            baseline resumed)

@@ -733,6 +733,13 @@ let test_checkpoint_json_roundtrip () =
                 { value = Bv.make ~width:32 5L; dir = false } |]) ];
       leases = [ ("site-c", [| Symex.Decision.Dir false |], 2) ];
       visits = [ ("site-a", 2); ("site-b", 1) ];
+      coverage =
+        { Obs.Coverage.regs =
+            [ ( ("plic", "enable"),
+                { Obs.Coverage.rc_size = 4; rc_declares = 1; rc_reads = 2;
+                  rc_writes = 1; rc_read_bytes = [| 2; 2; 2; 2 |];
+                  rc_write_bytes = [| 1; 1; 0; 0 |] } ) ];
+          arms = [ ("site-a", { Obs.Coverage.ac_true = 3; ac_false = 1 }) ] };
       rng = 0x123456789abcdef0L;
       paths = 7;
       completed = 4;
@@ -763,6 +770,7 @@ let test_checkpoint_file_roundtrip () =
            frontier = [];
            leases = [];
            visits = [];
+           coverage = Obs.Coverage.zero;
            rng = 1L;
            paths = 0;
            completed = 0;
@@ -784,6 +792,15 @@ let test_checkpoint_file_roundtrip () =
   match Symex.Checkpoint.load "/nonexistent/ck.json" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "loading a missing file should fail"
+
+(* The bounds term is derived per memory size: the same window checked
+   on a larger memory first must not pass on a smaller one. *)
+let test_mem_bounds_follow_size () =
+  let big = Mem.create ~name:"big" ~size:8 and small = Mem.create ~name:"small" ~size:4 in
+  let read m = Mem.read_bytes m ~offset:(Value.of_int 4) ~len:(Value.of_int 4) in
+  Alcotest.(check int) "in bounds of 8 bytes" 4 (Array.length (read big));
+  Alcotest.check_raises "out of bounds of 4 bytes"
+    (Engine.Check_failed "mem:small:read") (fun () -> ignore (read small))
 
 let suite =
   [
@@ -864,4 +881,6 @@ let suite =
         Alcotest.(check bool) "site-a covered" true (count "site-a" >= 2);
         Alcotest.(check bool) "site-b covered" true (count "site-b" >= 2));
     prop_mem_cached_read32;
+    ("mem: a bounds term follows the memory's size", `Quick,
+     test_mem_bounds_follow_size);
   ]

@@ -153,6 +153,17 @@ let test_regfile_overlap_rejected () =
         ignore
           (Register.add_range rf ~name:"b" ~base:4 ~access:Register.Read_write b))
 
+(* A range's match term is keyed on its base and size packed into one
+   int, which holds for a base below 2^32 and a size below 2^30. *)
+let test_regfile_outside_map_rejected () =
+  let rf = Register.create ~name:"far" () in
+  Alcotest.check_raises "base at 2^32"
+    (Invalid_argument "Register.add_range: a lies outside the 32-bit map")
+    (fun () ->
+       ignore
+         (Register.add_range rf ~name:"a" ~base:(1 lsl 32)
+            ~access:Register.Read_write (Mem.create ~name:"a" ~size:4)))
+
 (* A repeated name would share one coverage row and one [reg:match:]
    branch site with the first range. *)
 let test_regfile_duplicate_rejected () =
@@ -344,4 +355,6 @@ let suite =
     ("router: duplicate names rejected", `Quick, test_router_duplicate_rejected);
     ("regfile: dispatch sites per range", `Quick, test_regfile_dispatch_sites);
     ("regfile: access-type message", `Quick, test_regfile_access_message);
+    ("regfile: range outside the 32-bit map rejected", `Quick,
+     test_regfile_outside_map_rejected);
   ]
