@@ -708,24 +708,74 @@ let sext target t =
     | Bv_const v -> const (Bv.sext (target - w) v)
     | _ -> mk_sext target t
 
-let vars t =
-  let seen = Hashtbl.create 64 in
-  let acc = ref [] in
-  let rec go t =
-    if not (Hashtbl.mem seen t.id) then begin
-      Hashtbl.add seen t.id ();
+(* Two variable lists in increasing [var_id], merged without
+   duplicates.  The merge shares the longest common tail it can and
+   returns an input itself when that input already holds every variable
+   of the other, so a term that adds no variable to its children stores
+   no list of its own. *)
+let rec union_vars a b =
+  match a, b with
+  | [], l | l, [] -> l
+  | x :: a', y :: b' ->
+    if x.var_id = y.var_id then begin
+      let r = union_vars a' b' in
+      if r == a' then a else if r == b' then b else x :: r
+    end
+    else if x.var_id < y.var_id then begin
+      let r = union_vars a' b in
+      if r == a' then a else x :: r
+    end
+    else begin
+      let r = union_vars a b' in
+      if r == b' then b else y :: r
+    end
+
+let rec disjoint_vars a b =
+  match a, b with
+  | [], _ | _, [] -> true
+  | x :: a', y :: b' ->
+    if x.var_id = y.var_id then false
+    else if x.var_id < y.var_id then disjoint_vars a' b
+    else disjoint_vars a b'
+
+(* Each term's variable list, memoized by id.  Terms are immutable and
+   hash-consed, so the list never changes once built: the union of the
+   children's lists, each itself looked up here.  Ids are dense from 0,
+   so the memo is an array over them, grown on demand: at most two words
+   per term, against the ten or more each term holds in the hash-cons
+   table.  [unknown_vars] (physically unique) marks an id not asked for
+   yet. *)
+let unknown_vars = [ { var_name = ""; var_id = -1; var_width = 0 } ]
+let vars_memo = ref (Array.make 1_024 unknown_vars)
+
+let rec vars t =
+  let memo = !vars_memo in
+  if t.id < Array.length memo && memo.(t.id) != unknown_vars then memo.(t.id)
+  else begin
+    let vs =
       match t.node with
-      | Var v -> acc := v :: !acc
-      | Bool_const _ | Bv_const _ -> ()
-      | Not x | Bnot x | Extract (_, _, x) | Zext (_, x) | Sext (_, x) -> go x
+      | Var v -> [ v ]
+      | Bool_const _ | Bv_const _ -> []
+      | Not x | Bnot x | Extract (_, _, x) | Zext (_, x) | Sext (_, x) -> vars x
       | Andb (a, b) | Orb (a, b) | Cmp (_, a, b) | Bin (_, a, b)
       | Concat (a, b) ->
-        go a; go b
-      | Ite (c, a, b) -> go c; go a; go b
-    end
-  in
-  go t;
-  List.sort (fun a b -> Int.compare a.var_id b.var_id) !acc
+        union_vars (vars a) (vars b)
+      | Ite (c, a, b) -> union_vars (vars c) (union_vars (vars a) (vars b))
+    in
+    let memo = !vars_memo in
+    let memo =
+      if t.id < Array.length memo then memo
+      else begin
+        let n = max (t.id + 1) (2 * Array.length memo) in
+        let bigger = Array.make n unknown_vars in
+        Array.blit memo 0 bigger 0 (Array.length memo);
+        vars_memo := bigger;
+        bigger
+      end
+    in
+    memo.(t.id) <- vs;
+    vs
+  end
 
 let eval_memo lookup t =
   let memo : (int, Bv.t) Hashtbl.t = Hashtbl.create 64 in

@@ -134,7 +134,16 @@ val fresh_var : string -> int -> t
     not be unique; the variable identity is the fresh [var_id]. *)
 
 val vars : t -> var list
-(** All distinct variables occurring in a term, in increasing [var_id]. *)
+(** All distinct variables occurring in a term, in increasing [var_id].
+    Built once per term, from its children's lists, and kept: a later
+    call returns the same list without walking the term. *)
+
+val union_vars : var list -> var list -> var list
+(** The merge of two lists in increasing [var_id], without duplicates;
+    the result is in increasing [var_id] too. *)
+
+val disjoint_vars : var list -> var list -> bool
+(** Whether two lists in increasing [var_id] share no variable. *)
 
 (* Boolean connectives. *)
 

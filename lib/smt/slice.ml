@@ -1,20 +1,12 @@
 (* Union-find over variable ids; constraints are then grouped by the
    representative of their first variable.  Everything is a single pass
    over the constraints plus near-constant-time set operations, so
-   partitioning is negligible next to even one cache lookup. *)
+   partitioning is negligible next to even one cache lookup.  Each
+   constraint's variables come from [Expr.vars], which builds a term's
+   list once and keeps it, so no query walks a term DAG. *)
 
 let vars constraints =
-  let tbl = Hashtbl.create 32 in
-  List.iter
-    (fun c ->
-       List.iter
-         (fun (v : Expr.var) ->
-            if not (Hashtbl.mem tbl v.Expr.var_id) then
-              Hashtbl.add tbl v.Expr.var_id v)
-         (Expr.vars c))
-    constraints;
-  Hashtbl.fold (fun _ v acc -> v :: acc) tbl []
-  |> List.sort (fun (a : Expr.var) b -> Int.compare a.Expr.var_id b.Expr.var_id)
+  List.fold_left (fun acc c -> Expr.union_vars acc (Expr.vars c)) [] constraints
 
 let partition constraints =
   match constraints with
@@ -37,25 +29,23 @@ let partition constraints =
       let ra = find a and rb = find b in
       if ra <> rb then Hashtbl.replace parent ra rb
     in
-    (* [Expr.vars] walks the term DAG; compute it once per constraint. *)
-    let with_vars = List.map (fun c -> (c, Expr.vars c)) constraints in
     List.iter
-      (fun (_, vs) ->
-         match vs with
+      (fun c ->
+         match Expr.vars c with
          | [] -> ()
          | (v0 : Expr.var) :: rest ->
            List.iter
              (fun (v : Expr.var) -> union v0.Expr.var_id v.Expr.var_id)
              rest)
-      with_vars;
+      constraints;
     (* Group by final representative, preserving first-occurrence order
        of the groups and input order within each group. *)
     let groups : (int, Expr.t list ref) Hashtbl.t = Hashtbl.create 16 in
     let roots_rev = ref [] in
     let ground_rev = ref [] in
     List.iter
-      (fun (c, vs) ->
-         match vs with
+      (fun c ->
+         match Expr.vars c with
          | [] -> ground_rev := c :: !ground_rev
          | (v0 : Expr.var) :: _ ->
            let r = find v0.Expr.var_id in
@@ -64,7 +54,7 @@ let partition constraints =
             | None ->
               Hashtbl.add groups r (ref [ c ]);
               roots_rev := r :: !roots_rev))
-      with_vars;
+      constraints;
     let slices =
       List.rev_map (fun r -> List.rev !(Hashtbl.find groups r)) !roots_rev
     in

@@ -45,25 +45,12 @@ let term e =
   go e;
   Buffer.contents buf
 
-let all_vars constraints =
-  let tbl = Hashtbl.create 32 in
-  List.iter
-    (fun c ->
-       List.iter
-         (fun (v : Expr.var) ->
-            if not (Hashtbl.mem tbl v.Expr.var_id) then
-              Hashtbl.add tbl v.Expr.var_id v)
-         (Expr.vars c))
-    constraints;
-  Hashtbl.fold (fun _ v acc -> v :: acc) tbl []
-  |> List.sort (fun (a : Expr.var) b -> Int.compare a.Expr.var_id b.Expr.var_id)
-
 let declarations constraints =
   List.map
     (fun (v : Expr.var) ->
        Printf.sprintf "(declare-const %s (_ BitVec %d))" (var_name v)
          v.Expr.var_width)
-    (all_vars constraints)
+    (Slice.vars constraints)
 
 let query ?(logic = "QF_BV") constraints =
   let buf = Buffer.create 1024 in

@@ -201,7 +201,7 @@ let incremental_enabled () = !incremental
    [var_id] of the slice being solved (0 for ground slices): one global
    instance would make every solve assign the whole accumulated
    universe.  An instance whose guard table outgrows
-   [scope_rebuild_cap] is dropped and rebuilt on next use. *)
+   [scope_rebuild_cap] is reset on next use and starts over empty. *)
 module Scope = struct
   type instance = {
     i_sat : Sat.t;
@@ -246,33 +246,56 @@ module Scope = struct
     end
 
   let depth t = List.length t.frames
+
+  (* Instances of released scopes, handed out again before any new one
+     is created.  A released context never queries again: each
+     exploration context releases its scope when its run ends, and runs
+     do not nest. *)
+  let spare : instance list ref = ref []
+
+  let release t =
+    Hashtbl.iter (fun _ inst -> spare := inst :: !spare) t.instances;
+    Hashtbl.reset t.instances;
+    t.frames <- []
 end
 
 let scope_rebuild_cap = 1024
+
+(* A reset instance keeps its arrays and solves exactly as a fresh one
+   (the scratch pair's contract, DESIGN "Solver pipeline"), so reusing
+   storage never moves a verdict or a search counter. *)
+let recycle (inst : Scope.instance) =
+  Sat.reset inst.Scope.i_sat;
+  Bitblast.reset inst.Scope.i_ctx;
+  Hashtbl.clear inst.Scope.i_guards;
+  inst
 
 let scope_instance (scope : Scope.t) vars =
   let key =
     match vars with [] -> 0 | (v : Expr.var) :: _ -> v.Expr.var_id
   in
-  let fresh () =
-    let sat = Sat.create () in
-    let inst =
-      { Scope.i_sat = sat;
-        i_ctx = Bitblast.create sat;
-        i_guards = Hashtbl.create 64 }
-    in
-    Hashtbl.replace scope.Scope.instances key inst;
-    inst
-  in
   match Hashtbl.find_opt scope.Scope.instances key with
   | Some inst when Hashtbl.length inst.Scope.i_guards < scope_rebuild_cap ->
     inst
-  | Some _ ->
+  | Some inst ->
     Stats.(
       current :=
         { !current with scope_rebuilds = !current.scope_rebuilds + 1 });
-    fresh ()
-  | None -> fresh ()
+    recycle inst
+  | None ->
+    let inst =
+      match !Scope.spare with
+      | inst :: rest ->
+        Scope.spare := rest;
+        recycle inst
+      | [] ->
+        let sat = Sat.create () in
+        { Scope.i_sat = sat;
+          i_ctx = Bitblast.create sat;
+          i_guards = Hashtbl.create 64 }
+    in
+    Hashtbl.replace scope.Scope.instances key inst;
+    inst
 
 (* Per-slice query cache: the canonical key is the sorted list of term
    ids of one independent slice (terms are hash-consed, so equal
@@ -281,12 +304,25 @@ let scope_instance (scope : Scope.t) vars =
    Bounded by LRU eviction so unbounded campaigns cannot exhaust
    memory; the default capacity is large enough that decision-prefix
    replay within a run stays deterministic in practice (see
-   [set_cache_capacity]). *)
+   [set_cache_capacity]).
+
+   The key leads with a hash of every id.  The stdlib hash reads only a
+   list's first few cells, and the smallest ids are the path's oldest
+   constraints, which most slices of a long path share, so the list
+   alone would put thousands of keys on a few hundred hashes and make
+   every miss walk a long chain.  Key equality stays structural. *)
 let default_query_cache_cap = 65536
 let default_cex_index_cap = 4096
 
-let query_cache : (int list, outcome) Lru.t =
+let query_cache : (int * int list, outcome) Lru.t =
   Lru.create ~cap:default_query_cache_cap ()
+
+let slice_key constraints =
+  let ids =
+    List.sort_uniq Int.compare
+      (List.map (fun (c : Expr.t) -> c.Expr.id) constraints)
+  in
+  (List.fold_left (fun h id -> (h lxor id) * 0x100000001b3) 0x811c9dc5 ids, ids)
 
 (* Variable-indexed counterexample cache.  A model satisfying a
    superset query also satisfies this query, so re-evaluating recent
@@ -690,10 +726,7 @@ let check_slice ?scope ?conflict_limit ?deadline constraints =
         "slice";
     r
   in
-  let key =
-    List.sort_uniq Int.compare
-      (List.map (fun (c : Expr.t) -> c.Expr.id) constraints)
-  in
+  let key = slice_key constraints in
   match Lru.find query_cache key with
   | Some r ->
     Stats.(
@@ -857,15 +890,11 @@ let check_pair ?scope ?conflict_limit ?timeout_ms ~cond pc =
       in
       finish (Unsat, r)
     | None ->
-      let cond_vars = Slice.vars [ cond ] in
+      let cond_vars = Expr.vars cond in
       let touches s =
-        let vs = Slice.vars s in
         List.exists
-          (fun (v : Expr.var) ->
-             List.exists
-               (fun (v' : Expr.var) -> v.Expr.var_id = v'.Expr.var_id)
-               cond_vars)
-          vs
+          (fun c -> not (Expr.disjoint_vars cond_vars (Expr.vars c)))
+          s
       in
       let slices =
         if !independence then Slice.partition pc else [ pc ]

@@ -69,6 +69,15 @@ module Scope : sig
 
   val depth : t -> int
   (** Number of open frames. *)
+
+  val release : t -> unit
+  (** End the scope's exploration context: drop its frames and hand its
+      retained instances to the scopes created after it, which reset
+      them with {!Sat.reset} and {!Bitblast.reset} instead of
+      allocating new ones.  A reset instance solves exactly as a fresh
+      one.  Call it once the context's run has ended; a query through a
+      released scope starts with no retained instance, as on a fresh
+      scope. *)
 end
 
 val check :
@@ -197,7 +206,7 @@ module Stats : sig
     scope_pops : int;         (** scope frames discarded *)
     scope_reused : int;       (** constraints whose encoding was reused
                                   from a retained instance *)
-    scope_rebuilds : int;     (** retained instances dropped for
+    scope_rebuilds : int;     (** retained instances reset for
                                   outgrowing the guard cap *)
     time : float;             (** total seconds spent inside [check] *)
     interval_time : float;    (** seconds in the interval prescreen *)

@@ -277,14 +277,14 @@ let path_check st constraints =
         ?timeout_ms:st.cfg.limits.solver_timeout_ms constraints)
 
 (* Queries whose [Sat] model is consumed — error witnesses and
-   concretization values — run without the scope: a scratch solve's
-   model is a pure function of the constraint slice, so witnesses and
-   value enumeration are identical across sequential, parallel and
-   incremental-off runs.  The scope's retained instances answer with
-   history-dependent models (learned clauses and saved phases steer the
-   search), which is fine for feasibility verdicts but would make a
-   worker replaying a decision prefix pick different concrete values
-   than the run that forked it. *)
+   concretization values, by this path or by the fork it pushes — run
+   without the scope: a scratch solve's model is a pure function of the
+   constraint slice, so witnesses and value enumeration are identical
+   across sequential, parallel and incremental-off runs.  The scope's
+   retained instances answer with history-dependent models (learned
+   clauses and saved phases steer the search), which is fine for
+   feasibility verdicts but would make a worker replaying a decision
+   prefix pick different concrete values than the run that forked it. *)
 let path_model st constraints =
   Expr.without_counting (fun () ->
       Solver.check
@@ -599,11 +599,19 @@ let rec concretize ?(site = "concretize") e =
             let v = Model.eval m e in
             let cond = Expr.eq e (Expr.const v) in
             (* [m] already witnesses [e = v]; only the excluded side
-               needs a feasibility query before forking. *)
-            if
-              Expr.without_counting (fun () ->
-                  feasible st (Expr.not_ cond :: ps.pc))
-            then begin
+               needs a query before forking.  It runs scratch: the fork's
+               first live step asks [path_model] for this very
+               constraint list and finds its model in the query cache. *)
+            let fork =
+              match
+                Expr.without_counting (fun () ->
+                    path_model st (Expr.not_ cond :: ps.pc))
+              with
+              | Solver.Sat _ -> true
+              | Solver.Unsat -> false
+              | Solver.Unknown msg -> solver_unknown st msg
+            in
+            if fork then begin
               let alt =
                 Array.of_list
                   (List.rev
@@ -875,7 +883,10 @@ let seq_run ~(config : config) ~label ?resume ?checkpoint body =
            Obs.Event.Str (Search.strategy_to_string config.strategy));
           ("resumed", Obs.Event.Bool (resume <> None)) ];
   let last_checkpoint = ref now in
-  let finish () = mode := Off in
+  let finish () =
+    mode := Off;
+    Solver.Scope.release st.scope
+  in
   Fun.protect ~finally:finish (fun () ->
       (try
          let continue = ref true in

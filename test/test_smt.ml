@@ -215,6 +215,72 @@ let rec ast_eval env = function
   | Const v -> Bv.make ~width:8 v
   | Node (op, a, b) -> (snd ops.(op)) (ast_eval env a) (ast_eval env b)
 
+(* [Expr.vars] against a walk of the whole DAG.  Every case draws its
+   variables from one pool, so a case meets subterms, built by earlier
+   cases, whose lists are already memoized.  The merged list of all
+   terms ([Slice.vars]) and the disjointness test are checked too. *)
+let vars_pool = Array.init 6 (fun i -> Expr.fresh_var (Printf.sprintf "mv%d" i) 8)
+
+let reference_vars t =
+  let seen = Hashtbl.create 64 in
+  let acc = ref [] in
+  let rec go (t : Expr.t) =
+    if not (Hashtbl.mem seen t.Expr.id) then begin
+      Hashtbl.add seen t.Expr.id ();
+      match t.Expr.node with
+      | Expr.Var v -> acc := v :: !acc
+      | Expr.Bool_const _ | Expr.Bv_const _ -> ()
+      | Expr.Not x | Expr.Bnot x | Expr.Extract (_, _, x) | Expr.Zext (_, x)
+      | Expr.Sext (_, x) ->
+        go x
+      | Expr.Andb (a, b) | Expr.Orb (a, b) | Expr.Cmp (_, a, b)
+      | Expr.Bin (_, a, b) | Expr.Concat (a, b) ->
+        go a;
+        go b
+      | Expr.Ite (c, a, b) ->
+        go c;
+        go a;
+        go b
+    end
+  in
+  go t;
+  List.sort_uniq
+    (fun (a : Expr.var) b -> Int.compare a.Expr.var_id b.Expr.var_id)
+    !acc
+
+let prop_vars_memo_equals_walk =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"expr: memoized vars equal a DAG walk"
+       (QCheck.make
+          QCheck.Gen.(
+            triple (array_repeat 3 (int_bound 5)) (gen_ast 3) (gen_ast 3)))
+       (fun (pick, a, b) ->
+          let vs = Array.map (fun i -> vars_pool.(i)) pick in
+          let a = ast_to_expr vs a and b = ast_to_expr vs b in
+          let terms =
+            [ a; b; Expr.ult a b;
+              Expr.zext 16
+                (Expr.ite (Expr.eq a b)
+                   (Expr.concat (Expr.extract ~hi:3 ~lo:0 a)
+                      (Expr.extract ~hi:7 ~lo:4 b))
+                   (Expr.bnot a));
+              Expr.or_ (Expr.not_ (Expr.ule a b))
+                (Expr.and_ (Expr.slt a b) (Expr.ne b a)) ]
+          in
+          let bools = List.filter Expr.is_bool terms in
+          let all =
+            List.sort_uniq
+              (fun (v : Expr.var) w -> Int.compare v.Expr.var_id w.Expr.var_id)
+              (List.concat_map reference_vars bools)
+          in
+          let ids t =
+            List.map (fun (v : Expr.var) -> v.Expr.var_id) (reference_vars t)
+          in
+          List.for_all (fun t -> Expr.vars t = reference_vars t) terms
+          && Smt.Slice.vars bools = all
+          && Expr.disjoint_vars (Expr.vars a) (Expr.vars b)
+             = not (List.exists (fun i -> List.mem i (ids b)) (ids a))))
+
 let test_simplifier_soundness () =
   let st = Random.State.make [| 7 |] in
   let vars = Array.init 3 (fun i -> Expr.fresh_var (Printf.sprintf "v%d" i) 8) in
@@ -1421,7 +1487,9 @@ let test_scope_reuse () =
 
 let test_incremental_on_off_equivalent () =
   (* Incremental scope solving is an optimization: verdicts must match
-     the scratch pipeline on random queries issued through a scope. *)
+     the scratch pipeline on random queries issued through a scope, and
+     through a scope whose instances were recycled from a released
+     one. *)
   let st = Random.State.make [| 48 |] in
   let width = 4 in
   Fun.protect
@@ -1449,31 +1517,35 @@ let test_incremental_on_off_equivalent () =
                   (let v = if Random.State.bool st then x else y in
                    if Random.State.bool st then v else Expr.mul v v))
          in
-         let scope = Solver.Scope.create () in
-         List.iter
-           (fun c ->
-              Solver.Scope.push scope;
-              Solver.Scope.assume scope c)
-           constraints;
+         let scoped () =
+           let scope = Solver.Scope.create () in
+           List.iter
+             (fun c ->
+                Solver.Scope.push scope;
+                Solver.Scope.assume scope c)
+             constraints;
+           scope
+         in
+         let verdict what scope =
+           Solver.clear_caches ();
+           match Solver.check ~scope constraints with
+           | Solver.Sat _ -> true
+           | Solver.Unsat -> false
+           | Solver.Unknown m -> Alcotest.failf "unknown (%s): %s" what m
+         in
+         let scope = scoped () in
          Solver.set_incremental true;
-         Solver.clear_caches ();
-         let on =
-           match Solver.check ~scope constraints with
-           | Solver.Sat _ -> true
-           | Solver.Unsat -> false
-           | Solver.Unknown m -> Alcotest.failf "unknown (on): %s" m
-         in
+         let on = verdict "on" scope in
+         Solver.Scope.release scope;
+         let recycled = scoped () in
+         let again = verdict "recycled" recycled in
+         Solver.Scope.release recycled;
          Solver.set_incremental false;
-         Solver.clear_caches ();
-         let off =
-           match Solver.check ~scope constraints with
-           | Solver.Sat _ -> true
-           | Solver.Unsat -> false
-           | Solver.Unknown m -> Alcotest.failf "unknown (off): %s" m
-         in
-         if on <> off then
-           Alcotest.failf "incremental changed verdict (%b vs %b) on %s" on
-             off
+         let off = verdict "off" (scoped ()) in
+         if on <> off || again <> off then
+           Alcotest.failf
+             "incremental changed verdict (%b, recycled %b vs %b) on %s" on
+             again off
              (String.concat " & " (List.map Expr.to_string constraints))
        done)
 
@@ -1902,5 +1974,6 @@ let suite =
       ("expr: folding onto a resident constant allocates nothing", `Quick,
        test_resident_fold_allocates_nothing);
       prop_derived_equals_derivation;
+      prop_vars_memo_equals_walk;
       ("expr: a derived hit allocates nothing", `Quick,
        test_derived_hit_allocates_nothing) ]

@@ -226,6 +226,32 @@ let test_concretize_enumerates () =
     [ 5L; 6L; 7L; 8L ]
     (List.sort Int64.compare !seen)
 
+(* One SAT call per enumerated value.  The excluded side of each
+   concretization is solved on the scratch pipeline, and the fork's
+   first live step asks for that same constraint list, so it reads the
+   model from the query cache.  No interval candidate satisfies
+   (x xor 0x5A) < 8, so every query reaches SAT: one for the
+   assumption, one for the first value and one per excluded side,
+   8 Sat and a last Unsat.  Only the assumption runs on the scope, and
+   it reuses nothing. *)
+let test_concretize_one_solve_per_value () =
+  Smt.Solver.clear_caches ();
+  let seen = ref [] in
+  let r =
+    run (fun () ->
+        let x = Engine.fresh "x" 8 in
+        Engine.assume
+          (Expr.ult (Expr.bxor x (Expr.int ~width:8 0x5A)) (Expr.int ~width:8 8));
+        seen := Bv.to_int64 (Engine.concretize x) :: !seen)
+  in
+  Alcotest.(check int) "eight paths" 8 r.Engine.paths;
+  Alcotest.(check (list int64)) "all values"
+    (List.init 8 (fun k -> Int64.of_int (0x58 + k)))
+    (List.sort Int64.compare !seen);
+  let s = r.Engine.solver_stats in
+  Alcotest.(check int) "SAT calls" 10 s.Smt.Solver.Stats.sat_calls;
+  Alcotest.(check int) "scope reuse" 0 s.Smt.Solver.Stats.scope_reused
+
 let test_concretize_concrete_is_free () =
   let r =
     run (fun () ->
@@ -825,6 +851,8 @@ let suite =
     ("search: dfs order", `Quick, test_dfs_explores_depth_first);
     ("concretize: enumerates feasible values", `Quick,
      test_concretize_enumerates);
+    ("concretize: one SAT call per value", `Quick,
+     test_concretize_one_solve_per_value);
     ("concretize: concrete value is free", `Quick,
      test_concretize_concrete_is_free);
     ("mem: concrete read/write", `Quick, test_mem_concrete_rw);

@@ -138,22 +138,23 @@ let test_witnesses () =
     first_diff 1 (got, golden)
 
 (* Per cell: sat_calls, sat_conflicts, sat_decisions, sat_propagations
-   and scope_reused.  Recorded with one heap array per clause and a
-   fresh scratch SAT instance per query; the flat clause arena and the
-   reused scratch instance repeat them exactly. *)
+   and scope_reused.  Recorded with each concretization's excluded side
+   solved on the scratch pipeline, whose cached model the fork's first
+   live step then reads.  Scope instances recycled from an earlier
+   cell's released scope repeat them exactly, as fresh ones do. *)
 let pinned_counters =
-  [ ("T1", (5, 7, 24, 6769, 9));
-    ("T2", (81, 211, 1491, 329896, 1297));
-    ("T3", (10, 26, 58, 9415, 20));
-    ("T4", (54, 54, 488, 208679, 299));
-    ("T5", (357, 755, 6965, 1663511, 3178));
+  [ ("T1", (3, 6, 6, 4696, 0));
+    ("T2", (79, 192, 957, 306426, 1247));
+    ("T3", (8, 26, 45, 8312, 9));
+    ("T4", (37, 66, 138, 137998, 19));
+    ("T5", (205, 810, 1092, 909695, 0));
     ("IF1xT1", (0, 0, 0, 0, 0));
-    ("IF2xT1", (27, 55, 295, 47479, 130));
-    ("IF4xT1", (1, 0, 8, 1442, 0));
-    ("IF5xT1", (37, 101, 470, 73474, 225));
-    ("IF2xT2", (127, 331, 4142, 708835, 2351));
+    ("IF2xT1", (14, 61, 101, 29934, 0));
+    ("IF4xT1", (1, 0, 4, 1438, 0));
+    ("IF5xT1", (19, 109, 158, 46315, 0));
+    ("IF2xT2", (113, 265, 1469, 556438, 2142));
     ("IF3xT2", (3, 26, 68, 14587, 18));
-    ("IF5xT2", (136, 350, 4442, 780814, 2592));
+    ("IF5xT2", (121, 283, 1608, 617217, 2361));
     ("IF6xT3", (1, 1, 2, 544, 0)) ]
 
 let test_search_counters () =
