@@ -7,15 +7,30 @@ type repr = Lit of int | Bits of int array
    at half load, multiplicative hashing (the top bits of the id times an
    odd constant, so runs of consecutive ids spread out).  A slot holds
    an entry only while its stamp equals [gen], so [reset] empties the
-   table in O(1) by bumping the generation. *)
+   table in O(1) by bumping the generation.
+
+   A verdict context ([create_verdict]) also folds every gate whose
+   inputs are constant, equal or complementary, and looks each
+   remaining gate up by its kind and canonical inputs before it
+   allocates a variable.  That gate table is open-addressed and stamped
+   the same way; a slot's key is three words: [0, a, b] for [a /\ b]
+   with [a < b], [-1, a, b] for [a xor b] with [0 < a < b], and
+   [c, a, b] for [if c then a else b] with [c > 0] and [a > 0].  Its
+   arrays are allocated at the first gate, so scratch contexts never
+   hold one. *)
 type ctx = {
   sat : Sat.t;
+  verdict : bool;                      (* fold and hash gates *)
   mutable keys : int array;            (* per slot: Expr.id *)
   mutable stamps : int array;          (* per slot: generation *)
   mutable reprs : repr array;          (* per slot: translation *)
   mutable shift : int;                 (* 63 - log2 capacity *)
   mutable live : int;                  (* entries of this generation *)
   mutable gen : int;
+  mutable gate_keys : int array;       (* per slot: three key words *)
+  mutable gate_stamps : int array;     (* per slot: generation *)
+  mutable gate_lits : int array;       (* per slot: the gate's literal *)
+  mutable gate_live : int;             (* gates of this generation *)
   vars : (int, int array) Hashtbl.t;   (* var_id -> bit literals *)
   mutable true_lit : int;              (* literal asserted true, 0 if none *)
   mutable deadline : float option;     (* per-query; mutable for reuse *)
@@ -25,19 +40,24 @@ type ctx = {
 
 let memo_bits0 = 10
 
-let create sat =
+let make ~verdict sat =
   let cap = 1 lsl memo_bits0 in
-  { sat; keys = Array.make cap 0; stamps = Array.make cap 0;
+  { sat; verdict; keys = Array.make cap 0; stamps = Array.make cap 0;
     reprs = Array.make cap (Lit 0); shift = 63 - memo_bits0; live = 0;
-    gen = 1; vars = Hashtbl.create 64; true_lit = 0; deadline = None;
+    gen = 1; gate_keys = [||]; gate_stamps = [||]; gate_lits = [||];
+    gate_live = 0; vars = Hashtbl.create 64; true_lit = 0; deadline = None;
     stop = None; steps = 0 }
 
+let create sat = make ~verdict:false sat
+let create_verdict sat = make ~verdict:true sat
+
 (* A reset context on a reset [Sat.t] encodes exactly as a fresh pair:
-   no memo entry, variable or true literal of an earlier query
+   no memo entry, gate, variable or true literal of an earlier query
    survives, and polling restarts its subsampling count. *)
 let reset ctx =
   ctx.gen <- ctx.gen + 1;
   ctx.live <- 0;
+  ctx.gate_live <- 0;
   Hashtbl.clear ctx.vars;
   ctx.true_lit <- 0;
   ctx.steps <- 0
@@ -108,44 +128,163 @@ let lit_false ctx = -lit_true ctx
 
 let lit_of_bool ctx b = if b then lit_true ctx else lit_false ctx
 
-(* Tseitin gates.  Each returns a literal equivalent to the gate. *)
+(* Tseitin gates.  Each returns a literal equivalent to the gate.  A
+   scratch context folds only what it always has: equal or
+   complementary inputs of [and] and [xor], equal branches of [ite].
+   A verdict context also folds constant inputs and the remaining equal
+   or complementary ones, so an adder, comparator or barrel shifter fed
+   constants shrinks and a shift by a constant is plain rewiring, and it
+   shares every other gate through the gate table. *)
+
+let and_clauses ctx g a b =
+  Sat.add_clause2 ctx.sat (-g) a;
+  Sat.add_clause2 ctx.sat (-g) b;
+  Sat.add_clause3 ctx.sat (-a) (-b) g
+
+let xor_clauses ctx g a b =
+  Sat.add_clause3 ctx.sat (-g) a b;
+  Sat.add_clause3 ctx.sat (-g) (-a) (-b);
+  Sat.add_clause3 ctx.sat g (-a) b;
+  Sat.add_clause3 ctx.sat g a (-b)
+
+(* g = if c then a else b *)
+let ite_clauses ctx g c a b =
+  Sat.add_clause3 ctx.sat (-c) (-a) g;
+  Sat.add_clause3 ctx.sat (-c) a (-g);
+  Sat.add_clause3 ctx.sat c (-b) g;
+  Sat.add_clause3 ctx.sat c b (-g)
+
+let gate_bits0 = 10
+
+(* Murmur3's finalizer over the three key words, as [Expr]'s
+   hash-consing mixes its keys. *)
+let[@inline] gate_home ctx k a b =
+  let m = 0x100000001b3 in
+  let h = (((k * m) + a) * m) + b in
+  let h = (h lxor (h lsr 33)) * 0x3f51afd7ed558ccd in
+  let h = (h lxor (h lsr 33)) * 0x04ceb9fe1a85ec53 in
+  (h lxor (h lsr 33)) land (Array.length ctx.gate_lits - 1)
+
+(* The slot holding the key, or the empty slot where its probe ends. *)
+let rec gate_probe ctx k a b i =
+  let j = 3 * i in
+  if ctx.gate_stamps.(i) <> ctx.gen
+  || (ctx.gate_keys.(j) = k && ctx.gate_keys.(j + 1) = a
+      && ctx.gate_keys.(j + 2) = b)
+  then i
+  else gate_probe ctx k a b ((i + 1) land (Array.length ctx.gate_lits - 1))
+
+let gate_place ctx i k a b g =
+  ctx.gate_keys.(3 * i) <- k;
+  ctx.gate_keys.((3 * i) + 1) <- a;
+  ctx.gate_keys.((3 * i) + 2) <- b;
+  ctx.gate_stamps.(i) <- ctx.gen;
+  ctx.gate_lits.(i) <- g
+
+(* Twice the slots, or the first 1,024. *)
+let gate_grow ctx =
+  let keys = ctx.gate_keys and stamps = ctx.gate_stamps
+  and lits = ctx.gate_lits in
+  let cap = max (1 lsl gate_bits0) (2 * Array.length lits) in
+  ctx.gate_keys <- Array.make (3 * cap) 0;
+  ctx.gate_stamps <- Array.make cap 0;
+  ctx.gate_lits <- Array.make cap 0;
+  Array.iteri
+    (fun i stamp ->
+       if stamp = ctx.gen then begin
+         let k = keys.(3 * i) and a = keys.((3 * i) + 1)
+         and b = keys.((3 * i) + 2) in
+         gate_place ctx (gate_probe ctx k a b (gate_home ctx k a b)) k a b
+           lits.(i)
+       end)
+    stamps
+
+(* The gate with key [k, a, b] (see [ctx]), built on a miss. *)
+let hashed ctx k a b =
+  if Array.length ctx.gate_lits = 0 then gate_grow ctx;
+  let i = gate_probe ctx k a b (gate_home ctx k a b) in
+  if ctx.gate_stamps.(i) = ctx.gen then ctx.gate_lits.(i)
+  else begin
+    let g = fresh ctx in
+    if k = 0 then and_clauses ctx g a b
+    else if k = -1 then xor_clauses ctx g a b
+    else ite_clauses ctx g k a b;
+    gate_place ctx i k a b g;
+    ctx.gate_live <- ctx.gate_live + 1;
+    if 2 * ctx.gate_live > Array.length ctx.gate_lits then gate_grow ctx;
+    g
+  end
+
+(* The verdict folds.  [t] is 0 until a constant is encoded, and no
+   literal is 0, so no input then matches [t] or [-t]. *)
+let verdict_and ctx a b =
+  let t = ctx.true_lit in
+  if a = t then b
+  else if b = t then a
+  else if a = -t || b = -t then -t
+  else if a < b then hashed ctx 0 a b
+  else hashed ctx 0 b a
 
 let gate_and ctx a b =
   if a = b then a
   else if a = -b then lit_false ctx
+  else if ctx.verdict then verdict_and ctx a b
   else begin
     let g = fresh ctx in
-    Sat.add_clause2 ctx.sat (-g) a;
-    Sat.add_clause2 ctx.sat (-g) b;
-    Sat.add_clause3 ctx.sat (-a) (-b) g;
+    and_clauses ctx g a b;
     g
   end
 
 let gate_or ctx a b = -gate_and ctx (-a) (-b)
 
+(* [a xor b] is [-(-a xor b)], so the table keys positive inputs. *)
+let verdict_xor ctx a b =
+  let t = ctx.true_lit in
+  if a = t then -b
+  else if a = -t then b
+  else if b = t then -a
+  else if b = -t then a
+  else begin
+    let x = abs a and y = abs b in
+    let g = if x < y then hashed ctx (-1) x y else hashed ctx (-1) y x in
+    if (a < 0) <> (b < 0) then -g else g
+  end
+
 let gate_xor ctx a b =
   if a = b then lit_false ctx
   else if a = -b then lit_true ctx
+  else if ctx.verdict then verdict_xor ctx a b
   else begin
     let g = fresh ctx in
-    Sat.add_clause3 ctx.sat (-g) a b;
-    Sat.add_clause3 ctx.sat (-g) (-a) (-b);
-    Sat.add_clause3 ctx.sat g (-a) b;
-    Sat.add_clause3 ctx.sat g a (-b);
+    xor_clauses ctx g a b;
     g
   end
 
 let gate_iff ctx a b = -gate_xor ctx a b
 
+(* [if -c then a else b] is [if c then b else a], and [if c then -a
+   else -b] is its negation, so the table keys [c > 0] and [a > 0]. *)
+let verdict_ite ctx c a b =
+  let t = ctx.true_lit in
+  if c = t then a
+  else if c = -t then b
+  else if a = -b then gate_iff ctx c a
+  else if a = t || a = c then gate_or ctx c b
+  else if a = -t || a = -c then gate_and ctx (-c) b
+  else if b = t || b = -c then gate_or ctx (-c) a
+  else if b = -t || b = c then gate_and ctx c a
+  else begin
+    let c, a, b = if c < 0 then (-c, b, a) else (c, a, b) in
+    if a < 0 then -hashed ctx c (-a) (-b) else hashed ctx c a b
+  end
+
 (* g = if c then a else b *)
 let gate_ite ctx c a b =
   if a = b then a
+  else if ctx.verdict then verdict_ite ctx c a b
   else begin
     let g = fresh ctx in
-    Sat.add_clause3 ctx.sat (-c) (-a) g;
-    Sat.add_clause3 ctx.sat (-c) a (-g);
-    Sat.add_clause3 ctx.sat c (-b) g;
-    Sat.add_clause3 ctx.sat c b (-g);
+    ite_clauses ctx g c a b;
     g
   end
 

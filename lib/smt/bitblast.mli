@@ -10,16 +10,27 @@ type ctx
 
 val create : Sat.t -> ctx
 (** A context encoding into the given instance, with no deadline and no
-    stop predicate. *)
+    stop predicate.  Its CNF is the one every consumed model is a
+    function of, so it does not change: gates fold only equal or
+    complementary inputs, and each gate gets its own variable. *)
+
+val create_verdict : Sat.t -> ctx
+(** A context for an instance whose Sat models nobody reads
+    ({!Solver.Scope}'s retained instances).  Before it allocates a
+    variable, every [and], [xor] and [ite] gate folds inputs that are
+    constant, equal or complementary, and then looks the gate up by its
+    kind and canonical inputs, so structurally equal circuits share one
+    literal.  Same verdicts as {!create}, fewer variables, another
+    CNF. *)
 
 val reset : ctx -> unit
-(** Forget every translation, variable and the true literal, as a fresh
-    context would, keeping the memo table's storage.  Only meant
+(** Forget every translation, gate, variable and the true literal, as a
+    fresh context would, keeping the tables' storage.  Only meant
     together with a {!Sat.reset} of the context's instance: a reset
     context on a reset instance encodes every term exactly as a fresh
-    pair [create (Sat.create ())] does — the same clauses, variable
-    numbering and model.  The deadline and stop predicate are kept;
-    set them per query. *)
+    pair [create (Sat.create ())] (or [create_verdict]) does — the same
+    clauses, variable numbering and model.  The deadline and stop
+    predicate are kept; set them per query. *)
 
 val set_deadline : ctx -> float option -> unit
 (** Replace the deadline (an absolute [Unix.gettimeofday] instant)
@@ -40,8 +51,8 @@ val literal : ctx -> Expr.t -> int
 (** The (memoized) Tseitin literal of a boolean term {e without}
     asserting it.  {!Solver.Scope} guards each path constraint with a
     clause [(-guard \/ literal)] and enables it per-query by assuming
-    [guard], so popped constraints cost nothing and learned clauses
-    stay sound forever. *)
+    [guard], so a popped constraint constrains nothing and learned
+    clauses stay sound forever. *)
 
 val var_bits : ctx -> Expr.var -> int array option
 (** SAT literals allocated for a symbolic variable, if it was

@@ -777,21 +777,46 @@ let rec vars t =
     vs
   end
 
-let eval_memo lookup t =
-  let memo : (int, Bv.t) Hashtbl.t = Hashtbl.create 64 in
-  let bv_of_bool b = Bv.of_bool b in
+(* The evaluation memo: one value per term id, valid while its stamp
+   is the current generation.  Each [eval] and each [eval_all] opens a
+   generation, so [eval_all] evaluates a subterm shared by several
+   constraints (a reassembled word, say) once.  A term's children have
+   smaller ids than it, so arrays longer than the largest root id cover
+   a whole evaluation; they are allocated at the first evaluation and
+   replaced, not copied, when a larger root comes, since a new
+   generation needs none of the old values. *)
+let bv_true = Bv.of_bool true
+let bv_false = Bv.of_bool false
+let eval_gen = ref 0
+let eval_stamps = ref [||]
+let eval_values = ref [||]
+
+let eval_open top =
+  incr eval_gen;
+  let n = Array.length !eval_stamps in
+  if top >= n then begin
+    let n = max (top + 1) (2 * n) in
+    eval_stamps := Array.make n 0;
+    eval_values := Array.make n bv_false
+  end
+
+let[@inline] bv_of_bool b = if b then bv_true else bv_false
+
+let eval_in lookup gen stamps values t =
   let rec go t =
-    match Hashtbl.find_opt memo t.id with
-    | Some v -> v
-    | None ->
+    let i = t.id in
+    if stamps.(i) = gen then values.(i)
+    else begin
       let v =
         match t.node with
         | Bool_const b -> bv_of_bool b
         | Bv_const v -> v
         | Var v -> lookup v
         | Not x -> bv_of_bool (Bv.is_zero (go x))
-        | Andb (a, b) -> bv_of_bool (not (Bv.is_zero (go a)) && not (Bv.is_zero (go b)))
-        | Orb (a, b) -> bv_of_bool (not (Bv.is_zero (go a)) || not (Bv.is_zero (go b)))
+        | Andb (a, b) ->
+          bv_of_bool (not (Bv.is_zero (go a)) && not (Bv.is_zero (go b)))
+        | Orb (a, b) ->
+          bv_of_bool (not (Bv.is_zero (go a)) || not (Bv.is_zero (go b)))
         | Cmp (op, a, b) ->
           let x = go a and y = go b in
           bv_of_bool
@@ -809,13 +834,25 @@ let eval_memo lookup t =
         | Zext (w, x) -> let v = go x in Bv.zext (w - Bv.width v) v
         | Sext (w, x) -> let v = go x in Bv.sext (w - Bv.width v) v
       in
-      Hashtbl.add memo t.id v;
+      stamps.(i) <- gen;
+      values.(i) <- v;
       v
+    end
   in
   go t
 
-let eval lookup t = eval_memo lookup t
-let eval_bool lookup t = not (Bv.is_zero (eval_memo lookup t))
+let eval lookup t =
+  eval_open t.id;
+  eval_in lookup !eval_gen !eval_stamps !eval_values t
+
+let eval_bool lookup t = not (Bv.is_zero (eval lookup t))
+
+let eval_all lookup ts =
+  eval_open (List.fold_left (fun top t -> max top t.id) 0 ts);
+  let gen = !eval_gen and stamps = !eval_stamps and values = !eval_values in
+  List.for_all
+    (fun t -> not (Bv.is_zero (eval_in lookup gen stamps values t)))
+    ts
 
 let size t =
   let seen = Hashtbl.create 64 in

@@ -214,6 +214,12 @@ val eval : (var -> Bv.t) -> t -> Bv.t
 val eval_bool : (var -> Bv.t) -> t -> bool
 (** Evaluate a boolean term under an assignment. *)
 
+val eval_all : (var -> Bv.t) -> t list -> bool
+(** Whether every boolean term holds under an assignment, evaluated
+    left to right up to the first that does not, as [List.for_all
+    (eval_bool lookup)] does.  One memo serves the whole list, so a
+    subterm shared by several terms is evaluated once. *)
+
 val size : t -> int
 (** Number of distinct subterms (DAG size). *)
 

@@ -22,7 +22,7 @@ let union a b = Int_map.union (fun _ binding _ -> Some binding) a b
 
 let eval t e = Expr.eval (find t) e
 let eval_bool t e = Expr.eval_bool (find t) e
-let satisfies t constraints = List.for_all (eval_bool t) constraints
+let satisfies t constraints = Expr.eval_all (find t) constraints
 
 let pp ppf t =
   let pp_binding ppf ((v : Expr.var), bv) =

@@ -194,8 +194,12 @@ let incremental_enabled () = !incremental
    popped constraint's guard simply stops being assumed — and every
    learned clause remains sound forever (it was derived from guarded
    clauses only).  Guards' saved phase starts [false], so the CDCL
-   search decides un-assumed guards negative and never explores the
-   circuits of disabled constraints.
+   search decides un-assumed guards negative; the circuits of disabled
+   constraints still sit in the instance, and a Sat answer assigns
+   every one of their variables.  Instances encode with
+   [Bitblast.create_verdict], which folds and shares gates: no Sat
+   model of theirs is consumed, so their CNF is free to differ from
+   the scratch one.
 
    Instances are kept {e per variable family}, keyed on the smallest
    [var_id] of the slice being solved (0 for ground slices): one global
@@ -291,7 +295,7 @@ let scope_instance (scope : Scope.t) vars =
       | [] ->
         let sat = Sat.create () in
         { Scope.i_sat = sat;
-          i_ctx = Bitblast.create sat;
+          i_ctx = Bitblast.create_verdict sat;
           i_guards = Hashtbl.create 64 }
     in
     Hashtbl.replace scope.Scope.instances key inst;
@@ -645,8 +649,30 @@ let sat_with_retries ?scope ?conflict_limit ?deadline constraints vars =
   in
   go 0
 
-(* The uncached tail of the per-slice pipeline: interval prescreen
-   (range propagation plus candidate probing), then bit-blast + SAT.
+(* Whether [d] is the structural negation of [c]: [Not x] and [x],
+   [Ult (a, b)] and [Ule (b, a)], [Slt (a, b)] and [Sle (b, a)], the
+   pairs [Expr.not_] builds.  No term is built. *)
+let complementary (c : Expr.t) (d : Expr.t) =
+  match c.Expr.node, d.Expr.node with
+  | Expr.Not x, _ -> x == d
+  | _, Expr.Not y -> y == c
+  | Expr.Cmp (Expr.Ult, a, b), Expr.Cmp (Expr.Ule, b', a')
+  | Expr.Cmp (Expr.Ule, a, b), Expr.Cmp (Expr.Ult, b', a')
+  | Expr.Cmp (Expr.Slt, a, b), Expr.Cmp (Expr.Sle, b', a')
+  | Expr.Cmp (Expr.Sle, a, b), Expr.Cmp (Expr.Slt, b', a') ->
+    a == a' && b == b'
+  | _ -> false
+
+(* Every caller puts the newest constraint first ([check (c :: pc)],
+   [check_pair]'s children), so comparing the first with the rest
+   catches a branch or assumption that contradicts the path. *)
+let complementary_first = function
+  | [] -> false
+  | c :: rest -> List.exists (complementary c) rest
+
+(* The uncached tail of the per-slice pipeline: the prescreen
+   (complementary constraints, then range propagation plus candidate
+   probing), then bit-blast + SAT.
    Returns the outcome plus a cacheability flag: a [Sat] answer from a
    scope's retained instance is history-dependent (learned clauses and
    saved phases steer the model search), so it must stay out of the
@@ -668,19 +694,22 @@ let solve_slice ?scope ?conflict_limit ?deadline constraints vars =
                | `Model _ -> "model"
                | `Inconclusive -> "inconclusive")) ])
       (fun () ->
-         let env = Interval.make_env () in
-         match Interval.propagate env constraints with
-         | Interval.Definitely_unsat -> `Unsat
-         | Interval.Unknown ->
-           (match
-              List.find_map
-                (fun f ->
-                   let m = Model.of_fun vars f in
-                   if Model.satisfies m constraints then Some m else None)
-                (Interval.candidates env vars)
-            with
-            | Some m -> `Model m
-            | None -> `Inconclusive))
+         if complementary_first constraints then `Unsat
+         else begin
+           let env = Interval.make_env () in
+           match Interval.propagate env constraints with
+           | Interval.Definitely_unsat -> `Unsat
+           | Interval.Unknown ->
+             (match
+                List.find_map
+                  (fun f ->
+                     let m = Model.of_fun vars f in
+                     if Model.satisfies m constraints then Some m else None)
+                  (Interval.candidates env vars)
+              with
+              | Some m -> `Model m
+              | None -> `Inconclusive)
+         end)
   in
   match prescreen with
   | `Unsat ->

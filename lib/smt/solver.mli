@@ -46,7 +46,10 @@ module Scope : sig
       pops are free and learned clauses stay sound forever.  [assume]
       only records the constraint; encoding happens lazily at query
       time, so replaying a decision prefix (pool workers do this
-      constantly) and cache-hit queries never touch the SAT solver. *)
+      constantly) and cache-hit queries never touch the SAT solver.
+      Instances encode with {!Bitblast.create_verdict} (folded,
+      structurally hashed gates), since none of their Sat models is
+      consumed. *)
 
   val create : unit -> t
   (** A fresh scope with no frames and no retained instances.  Each

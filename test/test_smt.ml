@@ -1758,18 +1758,21 @@ let prop_reset_equals_fresh =
           && values reused = values fresh))
 
 (* [Bitblast.reset] on a [Sat.reset] instance encodes like a fresh
-   pair.  Terms A are encoded and solved first: random width-8 terms
-   compared against constants, padded with one comparison on each of 300
-   width-1 variables, so that over 600 translated nodes grow the memo
-   table past its first 1,024 slots.  After both resets, terms B over
-   the same variables and constants must give the clauses, variable
-   count, answer and model of a fresh pair that encoded only B.  A memo
-   slot left live by the reset would hand B a literal of A. *)
+   pair, for scratch and verdict contexts alike.  Terms A are encoded
+   and solved first: random width-8 terms compared against constants,
+   padded with a comparison [p_k < p_(k+1)] on each neighbouring pair of
+   301 width-1 variables.  That is over 600 translated nodes, which grow
+   the memo past its first 1,024 slots, and in a verdict context about
+   1,200 gates, which grow the gate table past its first 1,024.  After
+   both resets, terms B over the same variables and constants must give
+   the clauses, variable count, answer and model of a fresh pair of the
+   same kind that encoded only B.  A memo or gate-table slot left live
+   by the reset would hand B a literal of A. *)
 let prop_bitblast_reset_equals_fresh =
   let vars = Array.init 3 (fun i -> Expr.fresh_var (Printf.sprintf "r%d" i) 8) in
   let padding =
-    List.init 300 (fun k ->
-        Expr.eq (Expr.fresh_var (Printf.sprintf "p%d" k) 1) (Expr.int ~width:1 1))
+    let p = Array.init 301 (fun k -> Expr.fresh_var (Printf.sprintf "p%d" k) 1) in
+    List.init 300 (fun k -> Expr.ult p.(k) p.(k + 1))
   in
   let cmps = [| Expr.eq; Expr.ult; Expr.ule; Expr.slt; Expr.ne |] in
   let gen_terms =
@@ -1793,25 +1796,299 @@ let prop_bitblast_reset_equals_fresh =
         (Bitblast.extract_model ctx
            (List.concat_map Expr.vars (Array.to_list vars))) )
   in
+  let reset_equals_fresh create (a, b) =
+    let sat = Sat.create () in
+    let ctx = create sat in
+    List.iter (Bitblast.assert_true ctx) (padding @ terms a);
+    (match Sat.solve ~conflict_limit:20 sat with
+     | _ -> ()
+     | exception Sat.Resource_exhausted -> ());
+    Sat.reset sat;
+    Bitblast.reset ctx;
+    List.iter (Bitblast.assert_true ctx) (terms b);
+    let fresh_sat = Sat.create () in
+    let fresh_ctx = create fresh_sat in
+    List.iter (Bitblast.assert_true fresh_ctx) (terms b);
+    Sat.clauses sat = Sat.clauses fresh_sat
+    && outcome sat ctx = outcome fresh_sat fresh_ctx
+  in
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:200
        ~name:"bitblast: a reset context encodes like a fresh one"
        (QCheck.make ~print (QCheck.Gen.pair gen_terms gen_terms))
-       (fun (a, b) ->
-          let sat = Sat.create () in
-          let ctx = Bitblast.create sat in
-          List.iter (Bitblast.assert_true ctx) (padding @ terms a);
-          (match Sat.solve ~conflict_limit:20 sat with
-           | _ -> ()
-           | exception Sat.Resource_exhausted -> ());
-          Sat.reset sat;
-          Bitblast.reset ctx;
-          List.iter (Bitblast.assert_true ctx) (terms b);
-          let fresh_sat = Sat.create () in
-          let fresh_ctx = Bitblast.create fresh_sat in
-          List.iter (Bitblast.assert_true fresh_ctx) (terms b);
-          Sat.clauses sat = Sat.clauses fresh_sat
-          && outcome sat ctx = outcome fresh_sat fresh_ctx))
+       (fun case ->
+          reset_equals_fresh Bitblast.create case
+          && reset_equals_fresh Bitblast.create_verdict case))
+
+(* Verdict contexts against plain contexts and brute force, in the
+   manner of VSAT's [solver_is_correct].  A script is a pool of up to
+   five random constraints over two variables of one width in 1..6,
+   and a run of guarded queries on one retained verdict context, as
+   [Solver.Scope] runs them: each constraint is encoded once behind a
+   guard, each query assumes the guards of a subset of the pool, and
+   some queries first recycle the context ([Sat.reset] and
+   [Bitblast.reset]).  Terms mix arithmetic, constant and symbolic
+   shifts, [ite], [extract]/[concat], [zext], and a word rebuilt from
+   zero-extended pieces shifted by constants and joined by [or], the
+   shape of [Symex.Mem.assemble32].  Each query's verdict must equal a
+   plain context's and brute-force enumeration's, and a Sat model must
+   satisfy the subset by evaluation. *)
+let verdict_vars =
+  Array.init 7 (fun w ->
+      if w = 0 then [||]
+      else Array.init 2 (fun i -> Expr.fresh_var (Printf.sprintf "d%d_%d" w i) w))
+
+let verdict_arith = Expr.[| add; sub; mul; band; bor; bxor |]
+let verdict_shifts = Expr.[| shl; lshr; ashr |]
+let verdict_cmps = Expr.[| eq; ne; ult; ule; slt; sle |]
+
+let rec gen_verdict_term st vars w depth =
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  let sub () = gen_verdict_term st vars w (depth - 1) in
+  if depth = 0 || Random.State.int st 4 = 0 then
+    if Random.State.bool st then pick vars
+    else Expr.int ~width:w (Random.State.int st (1 lsl w))
+  else
+    match Random.State.int st 8 with
+    | 0 | 1 -> (pick verdict_arith) (sub ()) (sub ())
+    | 2 ->
+      (pick verdict_shifts) (sub ())
+        (Expr.int ~width:w (Random.State.int st (w + 1)))
+    | 3 -> (pick verdict_shifts) (sub ()) (sub ())
+    | 4 -> Expr.ite ((pick verdict_cmps) (sub ()) (sub ())) (sub ()) (sub ())
+    | 5 when w >= 2 ->
+      let k = 1 + Random.State.int st (w - 1) in
+      Expr.concat
+        (Expr.extract ~hi:(k - 1) ~lo:0 (sub ()))
+        (Expr.extract ~hi:(w - 1) ~lo:k (sub ()))
+    | 6 when w >= 2 ->
+      let k = 1 + Random.State.int st (w - 1) in
+      let x = sub () in
+      Expr.bor
+        (Expr.zext w (Expr.extract ~hi:(k - 1) ~lo:0 x))
+        (Expr.shl
+           (Expr.zext w (Expr.extract ~hi:(w - 1) ~lo:k x))
+           (Expr.int ~width:w k))
+    | _ -> Expr.bnot (sub ())
+
+let gen_verdict_constraint st vars w =
+  let term () = gen_verdict_term st vars w 3 in
+  let cmp () = verdict_cmps.(Random.State.int st 6) (term ()) (term ()) in
+  match Random.State.int st 5 with
+  | 0 -> Expr.not_ (cmp ())
+  | 1 -> Expr.or_ (cmp ()) (cmp ())
+  | 2 ->
+    Expr.ult (Expr.zext (w + 2) (term ()))
+      (Expr.int ~width:(w + 2) (Random.State.int st (1 lsl (w + 2))))
+  | _ -> cmp ()
+
+let gen_verdict_script st =
+  let w = 1 + Random.State.int st 6 in
+  let pool =
+    Array.init (1 + Random.State.int st 5) (fun _ ->
+        gen_verdict_constraint st verdict_vars.(w) w)
+  in
+  let queries =
+    List.init (2 + Random.State.int st 4) (fun _ ->
+        (Random.State.int st 32, Random.State.int st 3 = 0))
+  in
+  (w, pool, queries)
+
+let print_verdict_script (w, pool, queries) =
+  Printf.sprintf "width %d\n%s\nqueries %s" w
+    (String.concat "\n"
+       (Array.to_list
+          (Array.mapi (fun i c -> Printf.sprintf "c%d: %s" i (Expr.to_string c))
+             pool)))
+    (String.concat " "
+       (List.map
+          (fun (mask, recycle) ->
+             Printf.sprintf "%s%x" (if recycle then "recycle," else "") mask)
+          queries))
+
+let verdict_script_correct (w, pool, queries) =
+  let vars =
+    Array.map
+      (fun (v : Expr.t) ->
+         match v.Expr.node with Expr.Var v -> v | _ -> assert false)
+      verdict_vars.(w)
+  in
+  let n = 1 lsl w in
+  let truth =
+    Array.map
+      (fun c ->
+         Array.init (n * n) (fun i ->
+             Expr.eval_bool
+               (fun (v : Expr.var) ->
+                  Bv.of_int ~width:w
+                    (if v.Expr.var_id = vars.(0).Expr.var_id then i / n
+                     else i mod n))
+               c))
+      pool
+  in
+  let sat = Sat.create () in
+  let ctx = Bitblast.create_verdict sat in
+  let guards = Hashtbl.create 8 in
+  let guard i =
+    match Hashtbl.find_opt guards i with
+    | Some g -> g
+    | None ->
+      let l = Bitblast.literal ctx pool.(i) in
+      let g = Sat.new_var sat in
+      Sat.add_clause2 sat (-g) l;
+      Hashtbl.add guards i g;
+      g
+  in
+  List.for_all
+    (fun (mask, recycle) ->
+       if recycle then begin
+         Sat.reset sat;
+         Bitblast.reset ctx;
+         Hashtbl.reset guards
+       end;
+       let picked =
+         match
+           List.filter
+             (fun i -> mask land (1 lsl i) <> 0)
+             (List.init (Array.length pool) Fun.id)
+         with
+         | [] -> List.init (Array.length pool) Fun.id
+         | picked -> picked
+       in
+       let subset = List.map (fun i -> pool.(i)) picked in
+       let expected =
+         List.exists
+           (fun a -> List.for_all (fun i -> truth.(i).(a)) picked)
+           (List.init (n * n) Fun.id)
+       in
+       let plain =
+         let sat = Sat.create () in
+         let ctx = Bitblast.create sat in
+         List.iter (Bitblast.assert_true ctx) subset;
+         Sat.solve sat = Sat.Sat
+       in
+       let verdict = Sat.solve ~assumptions:(List.map guard picked) sat in
+       let model_holds =
+         match verdict with
+         | Sat.Unsat -> true
+         | Sat.Sat ->
+           Model.satisfies
+             (Bitblast.extract_model ctx (Array.to_list vars))
+             subset
+       in
+       plain = expected && (verdict = Sat.Sat) = expected && model_holds)
+    queries
+
+let prop_verdict_context_correct =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300
+       ~name:"bitblast: verdict contexts agree with plain ones and brute force"
+       (QCheck.make ~print:print_verdict_script gen_verdict_script)
+       verdict_script_correct)
+
+(* The priority-word shape: a 32-bit word reassembled from the bytes of
+   [p] as [Symex.Mem.assemble32] builds it, compared with [q].  A
+   scratch context builds a barrel shifter per constant byte shift, and
+   [ult p q] then costs a second comparator and another literal.  A
+   verdict context folds the shifts to rewiring and the [or]s with zero
+   bits away, so the word's bits are [p]'s own, and the gate table
+   hands [ult p q] the literal it already built. *)
+let test_verdict_shares_reassembled_word () =
+  let p = Expr.fresh_var "wp" 32 and q = Expr.fresh_var "wq" 32 in
+  let byte i = Expr.zext 32 (Expr.extract ~hi:((8 * i) + 7) ~lo:(8 * i) p) in
+  let shifted i = Expr.shl (byte i) (Expr.int ~width:32 (8 * i)) in
+  let word =
+    Expr.bor (byte 0) (Expr.bor (shifted 1) (Expr.bor (shifted 2) (shifted 3)))
+  in
+  let encode create =
+    let sat = Sat.create () in
+    let ctx = create sat in
+    let l = Bitblast.literal ctx (Expr.ult word q) in
+    let n = Sat.num_vars sat in
+    let l' = Bitblast.literal ctx (Expr.ult p q) in
+    (n, Sat.num_vars sat - n, l = l')
+  in
+  let outcome = Alcotest.(triple int int bool) in
+  Alcotest.check outcome "scratch: variables, more for ult p q, same literal"
+    (751, 224, false) (encode Bitblast.create);
+  Alcotest.check outcome "verdict: variables, more for ult p q, same literal"
+    (286, 0, true) (encode Bitblast.create_verdict)
+
+(* The complementary prescreen.  A slice whose first constraint is the
+   structural negation of another of its constraints is Unsat with no
+   interval or SAT work, and counts as a prescreen Unsat.  Products of
+   variables are beyond the interval stage, so without the prescreen
+   each of these slices would reach SAT. *)
+let prescreened name c =
+  ( "solver: complementary prescreen, " ^ name,
+    `Quick,
+    fun () ->
+      let x = Expr.fresh_var "nx" 8 and y = Expr.fresh_var "ny" 8 in
+      let c = c (Expr.mul x y) (Expr.add x y) in
+      let other = Expr.ne x (Expr.int ~width:8 3) in
+      List.iter
+        (fun (order, cs) ->
+           Solver.clear_caches ();
+           let before = Solver.Stats.get () in
+           let r = Solver.check cs in
+           let d = Solver.Stats.sub (Solver.Stats.get ()) before in
+           Alcotest.(check string) (order ^ ": answer") "unsat"
+             (Solver.outcome_to_string r);
+           Alcotest.(check (pair int int)) (order ^ ": SAT calls, prescreen Unsats")
+             (0, 1) (d.Solver.Stats.sat_calls, d.Solver.Stats.interval_unsat))
+        [ ("negation first", [ Expr.not_ c; other; c ]);
+          ("negation last", [ c; other; Expr.not_ c ]) ] )
+
+let test_prescreen_not = prescreened "not x / x" Expr.eq
+let test_prescreen_unsigned = prescreened "ult a b / ule b a" Expr.ult
+let test_prescreen_signed = prescreened "slt a b / sle b a" Expr.slt
+
+(* The same constraint twice is no contradiction. *)
+let test_prescreen_repeat () =
+  let x = Expr.fresh_var "rx" 8 and y = Expr.fresh_var "ry" 8 in
+  List.iter
+    (fun c ->
+       Solver.clear_caches ();
+       Alcotest.(check string) (Expr.to_string c) "sat"
+         (Solver.outcome_to_string (Solver.check [ c; c ])))
+    [ Expr.ne (Expr.mul x y) (Expr.add x y);
+      Expr.ult (Expr.mul x y) (Expr.add x y);
+      Expr.sle (Expr.mul x y) (Expr.add x y) ]
+
+(* A branch on a condition the path already assumed: [check_pair]'s
+   false child is [not cond] followed by the slice holding [cond]. *)
+let test_prescreen_pair_false_child () =
+  let x = Expr.fresh_var "px" 8 and y = Expr.fresh_var "py" 8 in
+  let cond = Expr.ult (Expr.mul x y) (Expr.add x y) in
+  Solver.clear_caches ();
+  let before = Solver.Stats.get () in
+  let rt, rf =
+    Solver.check_pair ~cond [ cond; Expr.ne x (Expr.int ~width:8 3) ]
+  in
+  let d = Solver.Stats.sub (Solver.Stats.get ()) before in
+  Alcotest.(check (pair string string)) "children" ("sat", "unsat")
+    (Solver.outcome_to_string rt, Solver.outcome_to_string rf);
+  Alcotest.(check int) "prescreen Unsats" 1 d.Solver.Stats.interval_unsat
+
+(* [Expr.eval_all] shares one memo across the list and stops at the
+   first constraint that fails, as [List.for_all] over [eval_bool]
+   does: a variable read only after that constraint is never looked
+   up. *)
+let test_eval_all_short_circuits () =
+  let x = Expr.fresh_var "ex" 8 and unread = Expr.fresh_var "eu" 8 in
+  let w = Expr.mul x (Expr.add x (Expr.int ~width:8 7)) in
+  let lookup (v : Expr.var) =
+    if v.Expr.var_name = "eu" then failwith "read past the first failure"
+    else Bv.of_int ~width:8 5
+  in
+  let holds = Expr.ult w (Expr.int ~width:8 100) in
+  let fails = Expr.eq w (Expr.int ~width:8 1) in
+  Alcotest.(check bool) "holds" true (Expr.eval_all lookup [ holds; holds ]);
+  Alcotest.(check bool) "stops at the failure" false
+    (Expr.eval_all lookup [ holds; fails; Expr.eq unread w ]);
+  Alcotest.(check bool) "agrees with eval_bool" true
+    (Expr.eval_all lookup [ holds ] = Expr.eval_bool lookup holds
+     && Expr.eval_all lookup [] = true)
 
 (* Watch-list order after search, pinned.  [propagate] rewrites each
    watch list it walks, and the order it leaves decides which clause
@@ -1968,6 +2245,16 @@ let suite =
   @ [ prop_reset_equals_fresh; prop_hash_consing_contract;
       prop_fixed_arity_adds_match_add_clause;
       prop_bitblast_reset_equals_fresh;
+      prop_verdict_context_correct;
+      ("bitblast: a verdict context shares a reassembled word's comparator",
+       `Quick, test_verdict_shares_reassembled_word);
+      test_prescreen_not; test_prescreen_unsigned; test_prescreen_signed;
+      ("solver: a repeated constraint is not complementary", `Quick,
+       test_prescreen_repeat);
+      ("solver: a branch on an assumed condition skips its false child",
+       `Quick, test_prescreen_pair_false_child);
+      ("expr: eval_all shares a memo and stops at the first failure",
+       `Quick, test_eval_all_short_circuits);
       ("sat: search pinned across activity rescaling", `Quick,
        test_sat_rescale_pinned);
       prop_folding_equals_bv;

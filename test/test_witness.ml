@@ -140,22 +140,25 @@ let test_witnesses () =
 (* Per cell: sat_calls, sat_conflicts, sat_decisions, sat_propagations
    and scope_reused.  Recorded with each concretization's excluded side
    solved on the scratch pipeline, whose cached model the fork's first
-   live step then reads.  Scope instances recycled from an earlier
-   cell's released scope repeat them exactly, as fresh ones do. *)
+   live step then reads, with scope instances encoding through the
+   verdict encoder (folded, structurally hashed gates), and with the
+   complementary-constraint prescreen answering before the interval
+   stage.  Scope instances recycled from an earlier cell's released
+   scope repeat them exactly, as fresh ones do. *)
 let pinned_counters =
   [ ("T1", (3, 6, 6, 4696, 0));
-    ("T2", (79, 192, 957, 306426, 1247));
-    ("T3", (8, 26, 45, 8312, 9));
-    ("T4", (37, 66, 138, 137998, 19));
+    ("T2", (55, 84, 601, 91489, 1009));
+    ("T3", (4, 7, 8, 2486, 0));
+    ("T4", (37, 66, 138, 120054, 19));
     ("T5", (205, 810, 1092, 909695, 0));
     ("IF1xT1", (0, 0, 0, 0, 0));
     ("IF2xT1", (14, 61, 101, 29934, 0));
     ("IF4xT1", (1, 0, 4, 1438, 0));
     ("IF5xT1", (19, 109, 158, 46315, 0));
-    ("IF2xT2", (113, 265, 1469, 556438, 2142));
-    ("IF3xT2", (3, 26, 68, 14587, 18));
-    ("IF5xT2", (121, 283, 1608, 617217, 2361));
-    ("IF6xT3", (1, 1, 2, 544, 0)) ]
+    ("IF2xT2", (79, 161, 1106, 220718, 1619));
+    ("IF3xT2", (1, 9, 39, 3683, 5));
+    ("IF5xT2", (85, 177, 1246, 250029, 1787));
+    ("IF6xT3", (0, 0, 0, 0, 0)) ]
 
 let test_search_counters () =
   let show (label, (calls, conflicts, decisions, propagations, reused)) =
