@@ -95,16 +95,6 @@ let no_independence =
   in
   Arg.(value & flag & info [ "no-independence" ] ~doc)
 
-let no_incremental =
-  let doc =
-    "Disable incremental scope solving (rebuild the SAT instance from \
-     scratch for every query instead of reusing retained instances \
-     across the decision tree).  Verdicts and bug sites are identical \
-     either way; counterexamples and concretized values can differ, \
-     and so can solving cost."
-  in
-  Arg.(value & flag & info [ "no-incremental" ] ~doc)
-
 let heartbeat_ms =
   let doc =
     "Worker heartbeat period in milliseconds (with --workers > 1): \
@@ -237,10 +227,9 @@ let strategy =
 let scenario_term =
   let make interrupts t5_len max_paths max_seconds max_solver_conflicts
       solver_timeout_ms max_memory_mb seed solver_cache_cap no_independence
-      no_incremental strategy workers heartbeat_ms listen lease_ms
+      strategy workers heartbeat_ms listen lease_ms
       solver_retries no_validate chaos_spec chaos_seed =
     Smt.Solver.set_independence (not no_independence);
-    Smt.Solver.set_incremental (not no_incremental);
     Option.iter (fun cap -> Smt.Solver.set_cache_capacity ~query:cap ())
       solver_cache_cap;
     Smt.Solver.set_retries solver_retries;
@@ -268,7 +257,7 @@ let scenario_term =
   Term.(
     const make $ interrupts $ t5_len $ max_paths $ max_seconds
     $ max_solver_conflicts $ solver_timeout_ms $ max_memory_mb $ seed
-    $ solver_cache_cap $ no_independence $ no_incremental $ strategy
+    $ solver_cache_cap $ no_independence $ strategy
     $ workers $ heartbeat_ms $ listen $ lease_ms $ solver_retries
     $ no_validate $ chaos_spec $ chaos_seed)
 

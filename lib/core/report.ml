@@ -91,7 +91,7 @@ let pp_solver_breakdown ppf t =
      \  bit-blast    %6.3fs (%4.1f%%)@,\
      \  sat          %6.3fs (%4.1f%%) — %d calls, %d conflicts, %d decisions, \
      %d propagations@,\
-     \  scope        %d pushes, %d pops, %d encodings reused, %d rebuilds@,\
+     \  scope        %d encodings reused, %d rebuilds@,\
      \  total        %6.3fs@]"
     t.test_name
     s.Smt.Solver.Stats.queries s.Smt.Solver.Stats.slices
@@ -102,7 +102,6 @@ let pp_solver_breakdown ppf t =
     s.Smt.Solver.Stats.sat_time (pct s.Smt.Solver.Stats.sat_time)
     s.Smt.Solver.Stats.sat_calls s.Smt.Solver.Stats.sat_conflicts
     s.Smt.Solver.Stats.sat_decisions s.Smt.Solver.Stats.sat_propagations
-    s.Smt.Solver.Stats.scope_pushes s.Smt.Solver.Stats.scope_pops
     s.Smt.Solver.Stats.scope_reused s.Smt.Solver.Stats.scope_rebuilds
     s.Smt.Solver.Stats.time
 
@@ -145,8 +144,6 @@ let record_metrics t =
   gi "symsysc_solver_sat_propagations" s.Smt.Solver.Stats.sat_propagations;
   gi "symsysc_solver_sat_timeouts" s.Smt.Solver.Stats.sat_timeouts;
   gi "symsysc_solver_sat_retries" s.Smt.Solver.Stats.sat_retries;
-  gi "symsysc_scope_pushes" s.Smt.Solver.Stats.scope_pushes;
-  gi "symsysc_scope_pops" s.Smt.Solver.Stats.scope_pops;
   gi "symsysc_scope_reused" s.Smt.Solver.Stats.scope_reused;
   gi "symsysc_scope_rebuilds" s.Smt.Solver.Stats.scope_rebuilds;
   gi "symsysc_solver_query_evictions" s.Smt.Solver.Stats.query_evictions;

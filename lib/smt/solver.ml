@@ -20,8 +20,6 @@ module Stats = struct
     sat_propagations : int;
     sat_timeouts : int;
     sat_retries : int;
-    scope_pushes : int;
-    scope_pops : int;
     scope_reused : int;
     scope_rebuilds : int;
     time : float;
@@ -36,7 +34,7 @@ module Stats = struct
       interval_unsat = 0; interval_sat = 0; sat_calls = 0; sat_conflicts = 0;
       sat_decisions = 0; sat_propagations = 0; sat_timeouts = 0;
       sat_retries = 0;
-      scope_pushes = 0; scope_pops = 0; scope_reused = 0; scope_rebuilds = 0;
+      scope_reused = 0; scope_rebuilds = 0;
       time = 0.0;
       interval_time = 0.0; bitblast_time = 0.0; sat_time = 0.0 }
 
@@ -61,8 +59,6 @@ module Stats = struct
       sat_propagations = a.sat_propagations - b.sat_propagations;
       sat_timeouts = a.sat_timeouts - b.sat_timeouts;
       sat_retries = a.sat_retries - b.sat_retries;
-      scope_pushes = a.scope_pushes - b.scope_pushes;
-      scope_pops = a.scope_pops - b.scope_pops;
       scope_reused = a.scope_reused - b.scope_reused;
       scope_rebuilds = a.scope_rebuilds - b.scope_rebuilds;
       time = a.time -. b.time;
@@ -88,8 +84,6 @@ module Stats = struct
       sat_propagations = a.sat_propagations + b.sat_propagations;
       sat_timeouts = a.sat_timeouts + b.sat_timeouts;
       sat_retries = a.sat_retries + b.sat_retries;
-      scope_pushes = a.scope_pushes + b.scope_pushes;
-      scope_pops = a.scope_pops + b.scope_pops;
       scope_reused = a.scope_reused + b.scope_reused;
       scope_rebuilds = a.scope_rebuilds + b.scope_rebuilds;
       time = a.time +. b.time;
@@ -108,13 +102,13 @@ module Stats = struct
     Format.fprintf ppf
       "queries=%d slices=%d slice-hits=%d cache=%d cex=%d evict=%d/%d \
        itv-unsat=%d itv-sat=%d sat-calls=%d conflicts=%d decisions=%d \
-       propagations=%d timeouts=%d retries=%d scope=%d/%d reuse=%d \
-       rebuilds=%d time=%.3fs (itv=%.3fs blast=%.3fs sat=%.3fs)"
+       propagations=%d timeouts=%d retries=%d reuse=%d rebuilds=%d \
+       time=%.3fs (itv=%.3fs blast=%.3fs sat=%.3fs)"
       t.queries t.slices t.slice_hits t.cache_hits t.cex_hits
       t.query_evictions t.cex_evictions t.interval_unsat
       t.interval_sat t.sat_calls t.sat_conflicts t.sat_decisions
       t.sat_propagations t.sat_timeouts t.sat_retries
-      t.scope_pushes t.scope_pops t.scope_reused t.scope_rebuilds t.time
+      t.scope_reused t.scope_rebuilds t.time
       t.interval_time t.bitblast_time t.sat_time
 
   let to_json t =
@@ -134,8 +128,6 @@ module Stats = struct
         ("sat_propagations", Obs.Json.Int t.sat_propagations);
         ("sat_timeouts", Obs.Json.Int t.sat_timeouts);
         ("sat_retries", Obs.Json.Int t.sat_retries);
-        ("scope_pushes", Obs.Json.Int t.scope_pushes);
-        ("scope_pops", Obs.Json.Int t.scope_pops);
         ("scope_reused", Obs.Json.Int t.scope_reused);
         ("scope_rebuilds", Obs.Json.Int t.scope_rebuilds);
         ("time", Obs.Json.Float t.time);
@@ -166,8 +158,6 @@ module Stats = struct
       sat_propagations = int "sat_propagations";
       sat_timeouts = int "sat_timeouts";
       sat_retries = int "sat_retries";
-      scope_pushes = int "scope_pushes";
-      scope_pops = int "scope_pops";
       scope_reused = int "scope_reused";
       scope_rebuilds = int "scope_rebuilds";
       time = flt "time";
@@ -179,27 +169,22 @@ end
 let independence = ref true
 let set_independence b = independence := b
 
-let incremental = ref true
-let set_incremental b = incremental := b
-let incremental_enabled () = !incremental
+(* A verdict scope: retained CDCL instances (learned clauses, VSIDS
+   activities, watch lists, variable numbering) that answer the
+   queries whose models nobody reads.
 
-(* An incremental solving scope: retained CDCL instances (learned
-   clauses, VSIDS activities, watch lists, variable numbering) plus a
-   frame stack mirroring the engine's decision tree.
-
-   Each path constraint is encoded once per retained instance and tied
-   to a fresh {e guard} variable [g] by the clause [(-g \/ tseitin c)];
-   a query enables exactly its constraints by solving under the
-   assumption set of their guards.  Pops therefore cost nothing — a
-   popped constraint's guard simply stops being assumed — and every
-   learned clause remains sound forever (it was derived from guarded
-   clauses only).  Guards' saved phase starts [false], so the CDCL
-   search decides un-assumed guards negative; the circuits of disabled
-   constraints still sit in the instance, and a Sat answer assigns
-   every one of their variables.  Instances encode with
-   [Bitblast.create_verdict], which folds and shares gates: no Sat
-   model of theirs is consumed, so their CNF is free to differ from
-   the scratch one.
+   Each constraint is encoded once per retained instance and tied to a
+   fresh {e guard} variable [g] by the clause [(-g \/ tseitin c)]; a
+   query enables exactly its constraints by solving under the
+   assumption set of their guards, so a constraint the query leaves out
+   costs no clause, and every learned clause remains sound forever (it
+   was derived from guarded clauses only).  Guards' saved phase starts
+   [false], so the CDCL search decides un-assumed guards negative; the
+   circuits of disabled constraints still sit in the instance, and a
+   Sat answer assigns every one of their variables.  Instances encode
+   with [Bitblast.create_verdict], which folds and shares gates: no Sat
+   model of theirs is consumed, so their CNF is free to differ from the
+   scratch one.
 
    Instances are kept {e per variable family}, keyed on the smallest
    [var_id] of the slice being solved (0 for ground slices): one global
@@ -213,43 +198,9 @@ module Scope = struct
     i_guards : (int, int) Hashtbl.t; (* Expr.id -> guard variable *)
   }
 
-  type t = {
-    mutable frames : Expr.t list list; (* top first, one per decision *)
-    instances : (int, instance) Hashtbl.t; (* family key -> instance *)
-  }
+  type t = (int, instance) Hashtbl.t (* family key -> instance *)
 
-  let create () = { frames = []; instances = Hashtbl.create 8 }
-
-  let push t =
-    t.frames <- [] :: t.frames;
-    Stats.(
-      current := { !current with scope_pushes = !current.scope_pushes + 1 })
-
-  (* Recording only: encoding is deferred to query time, so assuming
-     along a replayed decision prefix stays solver-free and a query
-     answered from the caches never encodes at all. *)
-  let assume t c =
-    match t.frames with
-    | [] -> t.frames <- [ [ c ] ]
-    | f :: rest -> t.frames <- (c :: f) :: rest
-
-  let pop t =
-    match t.frames with
-    | [] -> ()
-    | _ :: rest ->
-      t.frames <- rest;
-      Stats.(
-        current := { !current with scope_pops = !current.scope_pops + 1 })
-
-  let pop_to_root t =
-    let n = List.length t.frames in
-    if n > 0 then begin
-      t.frames <- [];
-      Stats.(
-        current := { !current with scope_pops = !current.scope_pops + n })
-    end
-
-  let depth t = List.length t.frames
+  let create () : t = Hashtbl.create 8
 
   (* Instances of released scopes, handed out again before any new one
      is created.  A released context never queries again: each
@@ -257,10 +208,9 @@ module Scope = struct
      do not nest. *)
   let spare : instance list ref = ref []
 
-  let release t =
-    Hashtbl.iter (fun _ inst -> spare := inst :: !spare) t.instances;
-    Hashtbl.reset t.instances;
-    t.frames <- []
+  let release (t : t) =
+    Hashtbl.iter (fun _ inst -> spare := inst :: !spare) t;
+    Hashtbl.reset t
 end
 
 let scope_rebuild_cap = 1024
@@ -278,7 +228,7 @@ let scope_instance (scope : Scope.t) vars =
   let key =
     match vars with [] -> 0 | (v : Expr.var) :: _ -> v.Expr.var_id
   in
-  match Hashtbl.find_opt scope.Scope.instances key with
+  match Hashtbl.find_opt scope key with
   | Some inst when Hashtbl.length inst.Scope.i_guards < scope_rebuild_cap ->
     inst
   | Some inst ->
@@ -298,8 +248,22 @@ let scope_instance (scope : Scope.t) vars =
           i_ctx = Bitblast.create_verdict sat;
           i_guards = Hashtbl.create 64 }
     in
-    Hashtbl.replace scope.Scope.instances key inst;
+    Hashtbl.replace scope key inst;
     inst
+
+(* [c]'s guard variable in [inst]: encoded behind a fresh guard on first
+   use, reused ever after. *)
+let guard (inst : Scope.instance) (c : Expr.t) =
+  match Hashtbl.find_opt inst.Scope.i_guards c.Expr.id with
+  | Some g ->
+    Stats.(current := { !current with scope_reused = !current.scope_reused + 1 });
+    g
+  | None ->
+    let l = Bitblast.literal inst.Scope.i_ctx c in
+    let g = Sat.new_var inst.Scope.i_sat in
+    Sat.add_clause2 inst.Scope.i_sat (-g) l;
+    Hashtbl.add inst.Scope.i_guards c.Expr.id g;
+    g
 
 (* Per-slice query cache: the canonical key is the sorted list of term
    ids of one independent slice (terms are hash-consed, so equal
@@ -443,79 +407,19 @@ let set_retries n = retries := max 0 n
 let scratch_sat = Sat.create ()
 let scratch_ctx = Bitblast.create scratch_sat
 
-let solve_with_sat ?conflict_limit ?deadline ~attempt constraints vars =
-  let sat = scratch_sat and ctx = scratch_ctx in
-  Sat.reset sat;
-  Bitblast.reset ctx;
-  let stop () = !interrupt_check () in
-  Bitblast.set_deadline ctx deadline;
-  Bitblast.set_stop ctx (Some stop);
-  let blast =
-    stage "bitblast"
-      (fun s dt -> { s with Stats.bitblast_time = s.Stats.bitblast_time +. dt })
-      (fun _ -> [ ("vars", Obs.Event.Int (Sat.num_vars sat)) ])
-      (fun () ->
-         match List.iter (Bitblast.assert_true ctx) constraints with
-         | () -> Ok ()
-         | exception Sat.Timeout ->
-           Stats.(
-             current :=
-               { !current with sat_timeouts = !current.sat_timeouts + 1 });
-           Error "solver timeout"
-         | exception Sat.Interrupted -> Error "interrupted")
-  in
-  match blast with
-  | Error msg -> Unknown msg
-  | Ok () ->
-    if attempt > 0 then Sat.perturb sat (Int64.of_int attempt);
-    let result =
-      stage "sat"
-        (fun s dt -> { s with Stats.sat_time = s.Stats.sat_time +. dt })
-        (fun r ->
-           [ ("result",
-              Obs.Event.Str
-                (match r with
-                 | Ok Sat.Sat -> "sat"
-                 | Ok Sat.Unsat -> "unsat"
-                 | Error msg -> msg));
-             ("conflicts", Obs.Event.Int (Sat.stats_conflicts sat)) ])
-        (fun () ->
-           match Sat.solve ?conflict_limit ?deadline ~stop sat with
-           | r -> Ok r
-           | exception Sat.Resource_exhausted -> Error "conflict limit reached"
-           | exception Sat.Timeout ->
-             Stats.(
-               current :=
-                 { !current with sat_timeouts = !current.sat_timeouts + 1 });
-             Error "solver timeout"
-           | exception Sat.Interrupted -> Error "interrupted")
-    in
-    Stats.(
-      current :=
-        { !current with
-          sat_conflicts = !current.sat_conflicts + Sat.stats_conflicts sat;
-          sat_decisions = !current.sat_decisions + Sat.stats_decisions sat;
-          sat_propagations =
-            !current.sat_propagations + Sat.stats_propagations sat });
-    (match result with
-     | Error msg -> Unknown msg
-     | Ok Sat.Unsat -> Unsat
-     | Ok Sat.Sat ->
-       let model = Bitblast.extract_model ctx vars in
-       (* Safety net: a model must satisfy the query by evaluation. *)
-       if not (Model.satisfies model constraints) then
-         failwith "Solver: internal error, SAT model fails evaluation";
-       Sat model)
+let sat_timeout () =
+  Stats.(current := { !current with sat_timeouts = !current.sat_timeouts + 1 });
+  Error "solver timeout"
 
-(* The incremental variant of [solve_with_sat]: reuse the family's
-   retained instance, encode only constraints it has never seen (each
-   behind a fresh guard variable), and solve under the assumption set
-   of this slice's guards.  Stage accounting matches the scratch path,
-   so the "bitblast" profile bucket directly shows encoding skipped by
-   reuse. *)
-let scope_solve scope ?conflict_limit ?deadline ~attempt constraints vars =
-  let inst = scope_instance scope vars in
-  let sat = inst.Scope.i_sat and ctx = inst.Scope.i_ctx in
+(* The one SAT runner, for scratch and scoped queries alike: [encode]
+   bit-blasts the query into [ctx] and returns the literals to solve
+   under, then the CDCL search runs and, on Sat, the model is read
+   back.  Stage accounting is the same for both, so the "bitblast"
+   profile bucket directly shows the encoding a retained instance
+   skips.  A retained instance's counters are cumulative across
+   queries; only this call's delta is folded into the global stats. *)
+let run_sat sat ctx ~encode ?conflict_limit ?deadline ~attempt constraints
+    vars =
   let stop () = !interrupt_check () in
   Bitblast.set_deadline ctx deadline;
   Bitblast.set_stop ctx (Some stop);
@@ -524,38 +428,15 @@ let scope_solve scope ?conflict_limit ?deadline ~attempt constraints vars =
       (fun s dt -> { s with Stats.bitblast_time = s.Stats.bitblast_time +. dt })
       (fun _ -> [ ("vars", Obs.Event.Int (Sat.num_vars sat)) ])
       (fun () ->
-         match
-           List.map
-             (fun (c : Expr.t) ->
-                match Hashtbl.find_opt inst.Scope.i_guards c.Expr.id with
-                | Some g ->
-                  Stats.(
-                    current :=
-                      { !current with
-                        scope_reused = !current.scope_reused + 1 });
-                  g
-                | None ->
-                  let l = Bitblast.literal ctx c in
-                  let g = Sat.new_var sat in
-                  Sat.add_clause2 sat (-g) l;
-                  Hashtbl.add inst.Scope.i_guards c.Expr.id g;
-                  g)
-             constraints
-         with
-         | gs -> Ok gs
-         | exception Sat.Timeout ->
-           Stats.(
-             current :=
-               { !current with sat_timeouts = !current.sat_timeouts + 1 });
-           Error "solver timeout"
+         match encode () with
+         | assumptions -> Ok assumptions
+         | exception Sat.Timeout -> sat_timeout ()
          | exception Sat.Interrupted -> Error "interrupted")
   in
   match blast with
   | Error msg -> Unknown msg
   | Ok assumptions ->
     if attempt > 0 then Sat.perturb sat (Int64.of_int attempt);
-    (* The instance's counters are cumulative across queries; fold only
-       this call's delta into the global stats. *)
     let c0 = Sat.stats_conflicts sat
     and d0 = Sat.stats_decisions sat
     and p0 = Sat.stats_propagations sat in
@@ -574,11 +455,7 @@ let scope_solve scope ?conflict_limit ?deadline ~attempt constraints vars =
            match Sat.solve ~assumptions ?conflict_limit ?deadline ~stop sat with
            | r -> Ok r
            | exception Sat.Resource_exhausted -> Error "conflict limit reached"
-           | exception Sat.Timeout ->
-             Stats.(
-               current :=
-                 { !current with sat_timeouts = !current.sat_timeouts + 1 });
-             Error "solver timeout"
+           | exception Sat.Timeout -> sat_timeout ()
            | exception Sat.Interrupted -> Error "interrupted")
     in
     Stats.(
@@ -618,10 +495,20 @@ let sat_attempt ?scope ?conflict_limit ?deadline ~attempt constraints vars =
   end
   else
     match scope with
-    | Some sc when !incremental ->
-      scope_solve sc ?conflict_limit ?deadline ~attempt constraints vars
-    | Some _ | None ->
-      solve_with_sat ?conflict_limit ?deadline ~attempt constraints vars
+    | None ->
+      Sat.reset scratch_sat;
+      Bitblast.reset scratch_ctx;
+      run_sat scratch_sat scratch_ctx ?conflict_limit ?deadline ~attempt
+        ~encode:(fun () ->
+            List.iter (Bitblast.assert_true scratch_ctx) constraints;
+            [])
+        constraints vars
+    | Some scope ->
+      let inst = scope_instance scope vars in
+      run_sat inst.Scope.i_sat inst.Scope.i_ctx ?conflict_limit ?deadline
+        ~attempt
+        ~encode:(fun () -> List.map (guard inst) constraints)
+        constraints vars
 
 let sat_with_retries ?scope ?conflict_limit ?deadline constraints vars =
   let rec go attempt =
@@ -724,7 +611,7 @@ let solve_slice ?scope ?conflict_limit ?deadline constraints vars =
     let r =
       sat_with_retries ?scope ?conflict_limit ?deadline constraints vars
     in
-    let scoped = match scope with Some _ -> !incremental | None -> false in
+    let scoped = Option.is_some scope in
     (match r with
      | Sat m when not scoped -> remember_model m
      | Sat _ | Unsat | Unknown _ -> ());

@@ -29,58 +29,39 @@ type outcome =
   | Unsat
   | Unknown of string  (** resource limit reached *)
 
-(** {1 Incremental solving scopes} *)
+(** {1 Verdict scopes} *)
 
 module Scope : sig
   type t
-  (** A stack of assumption frames mirroring the engine's decision
-      tree, backed by retained CDCL instances — one per variable family
-      (keyed on the smallest [var_id] of each independence slice) —
-      whose learned clauses, VSIDS activities, watch lists and variable
-      numbering survive across pops.
+  (** Retained CDCL instances that answer the queries whose models
+      nobody reads — one instance per variable family (keyed on the
+      smallest [var_id] of each independence slice) — whose learned
+      clauses, VSIDS activities, watch lists and variable numbering
+      survive from one query to the next.
 
       Constraints are never asserted directly: each one is encoded once
       behind a fresh {e guard} variable ([(-g \/ c)]) and a query
       enables its constraint set by solving under the assumption set of
-      the guards.  Popping a frame just stops assuming its guards, so
-      pops are free and learned clauses stay sound forever.  [assume]
-      only records the constraint; encoding happens lazily at query
-      time, so replaying a decision prefix (pool workers do this
-      constantly) and cache-hit queries never touch the SAT solver.
-      Instances encode with {!Bitblast.create_verdict} (folded,
-      structurally hashed gates), since none of their Sat models is
-      consumed. *)
+      the guards, looked up by {!Expr.t} id.  Leaving a constraint out
+      just stops assuming its guard, so learned clauses stay sound
+      forever.  Encoding happens at query time, so replaying a decision
+      prefix (pool workers do this constantly) and cache-hit queries
+      never touch the SAT solver.  Instances encode with
+      {!Bitblast.create_verdict} (folded, structurally hashed gates),
+      since none of their Sat models is consumed. *)
 
   val create : unit -> t
-  (** A fresh scope with no frames and no retained instances.  Each
-      exploration context (the sequential engine, every forked pool
-      worker) owns exactly one. *)
-
-  val push : t -> unit
-  (** Open a frame; counted in {!Stats.scope_pushes}. *)
-
-  val assume : t -> Expr.t -> unit
-  (** Record a constraint in the top frame (opens a root frame if none
-      exists). *)
-
-  val pop : t -> unit
-  (** Discard the top frame; a no-op at the root.  Counted in
-      {!Stats.scope_pops}. *)
-
-  val pop_to_root : t -> unit
-  (** Discard every frame — the engine's per-path reset point. *)
-
-  val depth : t -> int
-  (** Number of open frames. *)
+  (** A fresh scope with no retained instances.  Each exploration
+      context (the sequential engine, every forked pool worker) owns
+      exactly one. *)
 
   val release : t -> unit
-  (** End the scope's exploration context: drop its frames and hand its
-      retained instances to the scopes created after it, which reset
-      them with {!Sat.reset} and {!Bitblast.reset} instead of
-      allocating new ones.  A reset instance solves exactly as a fresh
-      one.  Call it once the context's run has ended; a query through a
-      released scope starts with no retained instance, as on a fresh
-      scope. *)
+  (** End the scope's exploration context: hand its retained instances
+      to the scopes created after it, which reset them with
+      {!Sat.reset} and {!Bitblast.reset} instead of allocating new
+      ones.  A reset instance solves exactly as a fresh one.  Call it
+      once the context's run has ended; a query through a released
+      scope starts with no retained instance, as on a fresh scope. *)
 end
 
 val check :
@@ -105,11 +86,14 @@ val check :
     [solver-unknown] / [solver-stall] points inject Unknowns/timeouts
     at the same place, healed by the same retry loop.
 
-    With [scope] (and incremental mode enabled, the default), slices
-    that reach the SAT stage are solved on the scope's retained
-    instances under guard assumptions instead of the scratch
-    instance; verdicts are identical either way — the caches and
-    the interval prescreen run identically in both modes. *)
+    Pass [scope] if and only if nobody reads the model.  With [scope],
+    slices that reach the SAT stage are solved on the scope's retained
+    instances under guard assumptions, and their [Sat] answers (whose
+    models depend on the instance's history) stay out of the query and
+    counterexample caches.  Without it, they run scratch: the solver
+    resets its one shared instance and encodes the slice afresh, so
+    the model is a function of the slice alone.  Verdicts are the same
+    either way; the caches and the prescreen run the same in both. *)
 
 val check_pair :
   ?scope:Scope.t -> ?conflict_limit:int -> ?timeout_ms:int ->
@@ -168,20 +152,6 @@ val set_independence : bool -> unit
     Table 1, T4's [reg:align] counterexample).  Used by
     [--no-independence]. *)
 
-val set_incremental : bool -> unit
-(** Enable or disable incremental scope solving (enabled by default).
-    When disabled, [check] with a [scope] falls back to the scratch
-    path, which bit-blasts onto a {!Sat.reset} instance.  Verdicts and
-    bug sites are identical either way; models are not: the queries a
-    scope would have answered are solved on the scratch path instead,
-    and their models enter the query and counterexample caches, where
-    later model-consuming queries can find them.  So counterexamples
-    and concretized values can differ (on Table 1, a value T2's path 12
-    concretizes).  Used by [--no-incremental]. *)
-
-val incremental_enabled : unit -> bool
-(** Current incremental-mode setting. *)
-
 val outcome_to_string : outcome -> string
 (** ["sat"], ["unsat"] or ["unknown"]. *)
 
@@ -205,8 +175,6 @@ module Stats : sig
                                   perturbed search order (including
                                   retries denied for an exhausted
                                   deadline) *)
-    scope_pushes : int;       (** scope frames opened *)
-    scope_pops : int;         (** scope frames discarded *)
     scope_reused : int;       (** constraints whose encoding was reused
                                   from a retained instance *)
     scope_rebuilds : int;     (** retained instances reset for

@@ -106,8 +106,8 @@ type path_state = {
 type explore_state = {
   cfg : config;
   scope : Solver.Scope.t;
-      (* incremental solving scope mirroring this context's decision
-         stack; owned per exploration context (one per pool worker) *)
+      (* retained SAT instances answering this context's verdict-only
+         queries; owned per exploration context (one per pool worker) *)
   mutable frontier : Decision.t array Search.t;
       (* the run's frontier in a sequential exploration; a per-unit
          fork collector in a pool worker (replaced for every unit) *)
@@ -280,11 +280,11 @@ let path_check st constraints =
    concretization values, by this path or by the fork it pushes — run
    without the scope: a scratch solve's model is a pure function of the
    constraint slice, so witnesses and value enumeration are identical
-   across sequential, parallel and incremental-off runs.  The scope's
-   retained instances answer with history-dependent models (learned
-   clauses and saved phases steer the search), which is fine for
-   feasibility verdicts but would make a worker replaying a decision
-   prefix pick different concrete values than the run that forked it. *)
+   across sequential, parallel and resumed runs.  The scope's retained
+   instances answer with history-dependent models (learned clauses and
+   saved phases steer the search), which is fine for feasibility
+   verdicts but would make a worker replaying a decision prefix pick
+   different concrete values than the run that forked it. *)
 let path_model st constraints =
   Expr.without_counting (fun () ->
       Solver.check
@@ -297,18 +297,11 @@ let feasible st constraints =
   | Solver.Unsat -> false
   | Solver.Unknown msg -> solver_unknown st msg
 
-(* Every path-condition extension mirrors its decision into the
-   context's solver scope: one frame per appended constraint, so the
-   scope stack tracks the decision stack exactly (and is reset by
-   [exec_path] when the next path restarts from the root). *)
-let extend_pc st ps c =
-  ps.pc <- c :: ps.pc;
-  Solver.Scope.push st.scope;
-  Solver.Scope.assume st.scope c
+let extend_pc ps c = ps.pc <- c :: ps.pc
 
-let take ~site st ps cond d =
+let take ~site ps cond d =
   ps.taken <- Decision.Dir d :: ps.taken;
-  extend_pc st ps (if d then cond else Expr.not_ cond);
+  extend_pc ps (if d then cond else Expr.not_ cond);
   Obs.Coverage.record_arm ~site d;
   d
 
@@ -343,7 +336,7 @@ let branch ?(site = "branch") cond =
          match ps.prefix.(ps.pos) with
          | Decision.Dir d ->
            ps.pos <- ps.pos + 1;
-           take ~site st ps cond d
+           take ~site ps cond d
          | Decision.Pick _ ->
            failwith
              "Engine.branch: decision trace diverged (prescribed \
@@ -379,9 +372,9 @@ let branch ?(site = "branch") cond =
                  [ ("site", Obs.Event.Str site);
                    ("path", Obs.Event.Int ps.path_id);
                    ("frontier", Obs.Event.Int (Search.length st.frontier)) ];
-           take ~site st ps cond true
-         | true, false -> take ~site st ps cond true
-         | false, true -> take ~site st ps cond false
+           take ~site ps cond true
+         | true, false -> take ~site ps cond true
+         | false, true -> take ~site ps cond false
          | false, false ->
            (* The path condition itself became unsatisfiable — can only
               happen via solver resource limits; kill the path. *)
@@ -412,7 +405,7 @@ let assume cond =
      | Some false -> raise (Terminate_path End_infeasible)
      | None ->
        Obs.Profile.set_origin "assume";
-       if feasible st (cond :: ps.pc) then extend_pc st ps cond
+       if feasible st (cond :: ps.pc) then extend_pc ps cond
        else raise (Terminate_path End_infeasible))
 
 (* ------------------------------------------------------------------ *)
@@ -526,16 +519,16 @@ let check_kind kind ~site ?(message = "property violated") cond =
           answers never reach the caches, so every consumed model is
           still a scratch model. *)
        let violated = Expr.not_ cond in
-       if not (feasible st (violated :: ps.pc)) then extend_pc st ps cond
+       if not (feasible st (violated :: ps.pc)) then extend_pc ps cond
        else
          match path_model st (violated :: ps.pc) with
          | Solver.Sat m ->
            record_error st ps kind site message m;
            (* The failing side terminates; continue on the passing side
               when it is feasible. *)
-           if feasible st (cond :: ps.pc) then extend_pc st ps cond
+           if feasible st (cond :: ps.pc) then extend_pc ps cond
            else raise (Terminate_path End_error)
-         | Solver.Unsat -> extend_pc st ps cond
+         | Solver.Unsat -> extend_pc ps cond
          | Solver.Unknown msg -> solver_unknown st msg)
 
 let check ~site ?message cond = check_kind Error.Assertion_failure ~site ?message cond
@@ -585,7 +578,7 @@ let rec concretize ?(site = "concretize") e =
            ps.pos <- ps.pos + 1;
            let cond = Expr.eq e (Expr.const value) in
            ps.taken <- Decision.Pick { value; dir } :: ps.taken;
-           extend_pc st ps (if dir then cond else Expr.not_ cond);
+           extend_pc ps (if dir then cond else Expr.not_ cond);
            Obs.Coverage.record_arm ~site dir;
            if dir then value else concretize ~site e
          | Decision.Dir _ ->
@@ -626,7 +619,7 @@ let rec concretize ?(site = "concretize") e =
                       ("frontier", Obs.Event.Int (Search.length st.frontier)) ]
             end;
             ps.taken <- Decision.Pick { value = v; dir = true } :: ps.taken;
-            extend_pc st ps cond;
+            extend_pc ps cond;
             Obs.Coverage.record_arm ~site true;
             v
           | Solver.Unsat -> raise (Terminate_path End_infeasible)
@@ -648,9 +641,6 @@ let add_path_start_hook f = path_start_hooks := !path_start_hooks @ [ f ]
    re-queue them: the sequential loop pushes them back onto its own
    frontier, the worker-pool unit runner ships them to the master. *)
 let exec_path st body ~prefix =
-  (* Each path restarts from the decision-tree root — including after a
-     resume, whose checkpoint may have been written mid-scope. *)
-  Solver.Scope.pop_to_root st.scope;
   (* Id counters are reset per path so re-executed construction glue
      allocates deterministic process/event ids: a schedule-permuting
      batch hook ([Order]) sees process ids. *)

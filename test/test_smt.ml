@@ -1379,12 +1379,29 @@ let test_solver_stats_json_roundtrip () =
       cex_hits = 1; query_evictions = 2; cex_evictions = 5;
       interval_unsat = 6; interval_sat = 8; sat_calls = 10;
       sat_conflicts = 11; sat_decisions = 12; sat_propagations = 13;
-      sat_timeouts = 14; sat_retries = 15; scope_pushes = 16; scope_pops = 17;
-      scope_reused = 18; scope_rebuilds = 19; time = 1.5; interval_time = 0.25;
+      sat_timeouts = 14; sat_retries = 15; scope_reused = 18;
+      scope_rebuilds = 19; time = 1.5; interval_time = 0.25;
       bitblast_time = 0.5; sat_time = 0.75 }
   in
   let s' = Solver.Stats.of_json (Solver.Stats.to_json s) in
   Alcotest.(check bool) "roundtrip" true (s = s');
+  (* Reports and checkpoints written before the scope frame counters
+     were dropped carry them between [sat_retries] and [scope_reused];
+     every other field must still read back. *)
+  let old_fields =
+    match Solver.Stats.to_json s with
+    | Obs.Json.Obj fields ->
+      List.concat_map
+        (fun ((k, _) as f) ->
+           if k = "scope_reused" then
+             [ ("scope_pushes", Obs.Json.Int 16);
+               ("scope_pops", Obs.Json.Int 17); f ]
+           else [ f ])
+        fields
+    | _ -> Alcotest.fail "stats JSON is not an object"
+  in
+  Alcotest.(check bool) "an old checkpoint's stats load" true
+    (Solver.Stats.of_json (Obs.Json.Obj old_fields) = s);
   (* Missing fields default to zero (forward compatibility). *)
   let z = Solver.Stats.of_json (Obs.Json.Obj [ ("queries", Obs.Json.Int 3) ]) in
   Alcotest.(check int) "present field" 3 z.Solver.Stats.queries;
@@ -1444,17 +1461,12 @@ let test_scope_reuse () =
      folding nor interval candidates find, so these queries genuinely
      exercise the retained CDCL instance. *)
   let c1 = Expr.eq sq (Expr.int ~width:16 5776) in
-  Solver.Scope.push scope;
-  Solver.Scope.assume scope c1;
-  Alcotest.(check int) "one frame" 1 (Solver.Scope.depth scope);
   (match Solver.check ~scope [ c1 ] with
    | Solver.Sat m ->
      Alcotest.(check bool) "model satisfies" true (Model.satisfies m [ c1 ])
    | _ -> Alcotest.fail "expected Sat");
   (* A deeper query re-encodes nothing for c1. *)
   let c2 = Expr.ugt x (Expr.int ~width:16 1000) in
-  Solver.Scope.push scope;
-  Solver.Scope.assume scope c2;
   let before = (Solver.Stats.get ()).Solver.Stats.scope_reused in
   Solver.clear_caches ();
   (match Solver.check ~scope [ c2; c1 ] with
@@ -1464,38 +1476,27 @@ let test_scope_reuse () =
    | _ -> Alcotest.fail "expected Sat at depth 2");
   let after = (Solver.Stats.get ()).Solver.Stats.scope_reused in
   Alcotest.(check bool) "encoding reused" true (after > before);
-  (* Pop to a sibling whose refutation runs under assumptions: the
-     Unsat must leave the retained instance reusable. *)
-  Solver.Scope.pop scope;
+  (* A sibling whose refutation runs under assumptions: the Unsat must
+     leave the retained instance reusable. *)
   let c3 = Expr.eq sq (Expr.int ~width:16 3) in
-  Solver.Scope.push scope;
-  Solver.Scope.assume scope c3;
   Solver.clear_caches ();
   (match Solver.check ~scope [ c3; c1 ] with
    | Solver.Unsat -> ()
    | _ -> Alcotest.fail "expected Unsat sibling");
-  Solver.Scope.pop scope;
-  Solver.Scope.push scope;
-  Solver.Scope.assume scope c2;
   Solver.clear_caches ();
   (match Solver.check ~scope [ c2; c1 ] with
    | Solver.Sat _ -> ()
    | _ -> Alcotest.fail "instance poisoned by sibling Unsat");
-  Solver.Scope.pop_to_root scope;
-  Alcotest.(check int) "back at root" 0 (Solver.Scope.depth scope);
+  Solver.Scope.release scope;
   Solver.clear_caches ()
 
-let test_incremental_on_off_equivalent () =
-  (* Incremental scope solving is an optimization: verdicts must match
-     the scratch pipeline on random queries issued through a scope, and
-     through a scope whose instances were recycled from a released
-     one. *)
+let test_scoped_verdicts_equal_scratch () =
+  (* A retained scope is an optimization: on random queries its
+     verdicts must match the scratch pipeline's, on a fresh scope and
+     on one whose instances were recycled from a released scope. *)
   let st = Random.State.make [| 48 |] in
   let width = 4 in
-  Fun.protect
-    ~finally:(fun () ->
-        Solver.set_incremental true;
-        Solver.clear_caches ())
+  Fun.protect ~finally:Solver.clear_caches
     (fun () ->
        for _ = 1 to 40 do
          let x = Expr.fresh_var "inca" width in
@@ -1517,37 +1518,70 @@ let test_incremental_on_off_equivalent () =
                   (let v = if Random.State.bool st then x else y in
                    if Random.State.bool st then v else Expr.mul v v))
          in
-         let scoped () =
-           let scope = Solver.Scope.create () in
-           List.iter
-             (fun c ->
-                Solver.Scope.push scope;
-                Solver.Scope.assume scope c)
-             constraints;
-           scope
-         in
          let verdict what scope =
            Solver.clear_caches ();
-           match Solver.check ~scope constraints with
+           match Solver.check ?scope constraints with
            | Solver.Sat _ -> true
            | Solver.Unsat -> false
            | Solver.Unknown m -> Alcotest.failf "unknown (%s): %s" what m
          in
-         let scope = scoped () in
-         Solver.set_incremental true;
-         let on = verdict "on" scope in
+         let scope = Solver.Scope.create () in
+         let fresh = verdict "fresh scope" (Some scope) in
          Solver.Scope.release scope;
-         let recycled = scoped () in
-         let again = verdict "recycled" recycled in
+         let recycled = Solver.Scope.create () in
+         let again = verdict "recycled scope" (Some recycled) in
          Solver.Scope.release recycled;
-         Solver.set_incremental false;
-         let off = verdict "off" (scoped ()) in
-         if on <> off || again <> off then
+         let scratch = verdict "scratch" None in
+         if fresh <> scratch || again <> scratch then
            Alcotest.failf
-             "incremental changed verdict (%b, recycled %b vs %b) on %s" on
-             again off
+             "scoped verdict %b (recycled %b) against scratch %b on %s" fresh
+             again scratch
              (String.concat " & " (List.map Expr.to_string constraints))
        done)
+
+(* DESIGN's determinism rule: a query passes a scope if and only if
+   nobody reads its model, because a retained instance's model depends
+   on its history.  So a scoped Sat answer reaches neither cache, and
+   the same constraints asked without a scope solve scratch; a scoped
+   Unsat is a pure verdict and is cached for everyone. *)
+let test_scoped_sat_stays_out_of_caches () =
+  Solver.clear_caches ();
+  let x = Expr.fresh_var "det_x" 16 in
+  let sq = Expr.mul x x in
+  let scope = Solver.Scope.create () in
+  let stats () = Solver.Stats.get () in
+  let sat_q = [ Expr.eq sq (Expr.int ~width:16 5776) ] in
+  let sizes = Solver.cache_sizes () in
+  (match Solver.check ~scope sat_q with
+   | Solver.Sat _ -> ()
+   | _ -> Alcotest.fail "expected Sat");
+  Alcotest.(check (pair int int)) "a scoped Sat leaves both caches as they were"
+    sizes (Solver.cache_sizes ());
+  let s0 = stats () in
+  (match Solver.check sat_q with
+   | Solver.Sat _ -> ()
+   | _ -> Alcotest.fail "expected Sat without a scope");
+  let d = Solver.Stats.sub (stats ()) s0 in
+  Alcotest.(check (list int)) "without a scope it runs SAT (calls, cache and cex hits)"
+    [ 1; 0; 0 ]
+    [ d.Solver.Stats.sat_calls; d.Solver.Stats.cache_hits;
+      d.Solver.Stats.cex_hits ];
+  let unsat_q = [ Expr.eq sq (Expr.int ~width:16 3) ] in
+  let s1 = stats () in
+  (match Solver.check ~scope unsat_q with
+   | Solver.Unsat -> ()
+   | _ -> Alcotest.fail "expected Unsat");
+  Alcotest.(check int) "the scoped Unsat ran SAT" 1
+    (Solver.Stats.sub (stats ()) s1).Solver.Stats.sat_calls;
+  let s2 = stats () in
+  (match Solver.check unsat_q with
+   | Solver.Unsat -> ()
+   | _ -> Alcotest.fail "expected Unsat without a scope");
+  let d = Solver.Stats.sub (stats ()) s2 in
+  Alcotest.(check (pair int int)) "without a scope it hits the query cache"
+    (0, 1) (d.Solver.Stats.sat_calls, d.Solver.Stats.cache_hits);
+  Solver.Scope.release scope;
+  Solver.clear_caches ()
 
 let test_solver_timeout_budget_shared () =
   (* Regression for the per-query timeout contract: with a permanently
@@ -2234,8 +2268,10 @@ let suite =
     ("sat: assumptions", `Quick, test_sat_assumptions);
     ("sat: perturb after growth", `Quick, test_sat_perturb_after_growth);
     ("scope: encoding reuse and sibling unsat", `Quick, test_scope_reuse);
-    ("solver: incremental on/off equivalence", `Quick,
-     test_incremental_on_off_equivalent);
+    ("solver: scoped verdicts equal scratch verdicts", `Quick,
+     test_scoped_verdicts_equal_scratch);
+    ("solver: a scoped Sat stays out of the caches", `Quick,
+     test_scoped_sat_stays_out_of_caches);
     ("solver: retry budget is per-query", `Quick,
      test_solver_timeout_budget_shared);
     prop_add_clause_matches_reference;
