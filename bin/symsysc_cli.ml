@@ -95,16 +95,6 @@ let no_independence =
   in
   Arg.(value & flag & info [ "no-independence" ] ~doc)
 
-let heartbeat_ms =
-  let doc =
-    "Worker heartbeat period in milliseconds (with --workers > 1): \
-     workers emit periodic liveness frames and the master's watchdog \
-     kills and replaces a worker silent for max(8 heartbeats, 1s), \
-     re-queueing its unit.  Without it a wedged (e.g. SIGSTOPped) \
-     worker blocks the run forever."
-  in
-  Arg.(value & opt (some int) None & info [ "heartbeat-ms" ] ~docv:"MS" ~doc)
-
 (* HOST:PORT parsing shared by --listen and --connect.  The split is on
    the last ':' so a future bracketed-IPv6 host keeps its colons. *)
 let hostport_conv =
@@ -135,12 +125,16 @@ let listen =
 
 let lease_ms =
   let doc =
-    "Work-unit lease deadline in milliseconds: a unit granted to a \
-     peer that stays silent this long is re-queued for another peer \
-     (the holder is not killed; if its result arrives late it is \
-     dropped first-result-wins).  Bounds the stall any lost or wedged \
-     peer can cause.  Heartbeats renew leases, so set --lease-ms well \
-     above --heartbeat-ms."
+    "Work-unit lease deadline in milliseconds, the pool's only liveness \
+     rule (with --workers > 1 or --listen): a unit whose holder sends \
+     no result this long is re-queued for another peer.  The holder is \
+     not killed (if its result arrives late it is dropped \
+     first-result-wins), but it gets no new unit until it is heard \
+     from again, a local one is replaced, and one still silent when \
+     the run ends is killed.  Bounds the stall any lost or wedged \
+     (e.g. SIGSTOPped) worker can cause; without it such a worker \
+     blocks the run forever.  Set it well above the slowest unit: \
+     every expiry forks a replacement while the slow worker runs on."
   in
   Arg.(value & opt (some int) None & info [ "lease-ms" ] ~docv:"MS" ~doc)
 
@@ -227,7 +221,7 @@ let strategy =
 let scenario_term =
   let make interrupts t5_len max_paths max_seconds max_solver_conflicts
       solver_timeout_ms max_memory_mb seed solver_cache_cap no_independence
-      strategy workers heartbeat_ms listen lease_ms
+      strategy workers listen lease_ms
       solver_retries no_validate chaos_spec chaos_seed =
     Smt.Solver.set_independence (not no_independence);
     Option.iter (fun cap -> Smt.Solver.set_cache_capacity ~query:cap ())
@@ -251,14 +245,14 @@ let scenario_term =
     in
     Symsysc.Verify.scenario ~num_sources:interrupts ~t5_max_len:t5_len
       ?max_paths ?max_seconds ?max_solver_conflicts ?solver_timeout_ms
-      ?max_memory_mb ?seed ?strategy ~workers ?heartbeat_ms ?listen ?lease_ms
+      ?max_memory_mb ?seed ?strategy ~workers ?listen ?lease_ms
       ~validate:(not no_validate) ()
   in
   Term.(
     const make $ interrupts $ t5_len $ max_paths $ max_seconds
     $ max_solver_conflicts $ solver_timeout_ms $ max_memory_mb $ seed
     $ solver_cache_cap $ no_independence $ strategy
-    $ workers $ heartbeat_ms $ listen $ lease_ms $ solver_retries
+    $ workers $ listen $ lease_ms $ solver_retries
     $ no_validate $ chaos_spec $ chaos_seed)
 
 (* ---- observability options ---- *)
@@ -304,7 +298,8 @@ let top_flag =
   let doc =
     "Live TTY dashboard on stderr (redraws in place): paths/s, frontier \
      depth, solver and cache rates, and with --workers > 1 a per-worker \
-     busy/idle line with heartbeat ages.  Overrides --stats-interval."
+     busy/idle line with the age of each worker's last frame.  \
+     Overrides --stats-interval."
   in
   Arg.(value & flag & info [ "top" ] ~doc)
 

@@ -25,7 +25,7 @@
 type point =
   | Solver_unknown      (** solver query answers Unknown *)
   | Solver_stall        (** solver query stalls past its deadline *)
-  | Worker_hang         (** worker hangs mid-unit (stops heartbeats) *)
+  | Worker_hang         (** worker hangs mid-unit: no result, no exit *)
   | Worker_crash        (** worker process dies abruptly *)
   | Frame_truncate      (** result frame cut short mid-write *)
   | Frame_corrupt       (** result frame payload corrupted *)

@@ -36,7 +36,6 @@ let resilience_suffix (r : Engine.resilience) =
         else None)
       [ (r.Engine.res_unvalidated, "UNVALIDATED");
         (r.Engine.res_quarantined, "quarantined");
-        (r.Engine.res_hung, "hung");
         (r.Engine.res_worker_deaths, "worker deaths");
         (r.Engine.res_lease_expired, "leases expired");
         (r.Engine.res_duplicates, "duplicate results");
@@ -113,7 +112,7 @@ let record_metrics t =
   let g name v = Obs.Metrics.set (Obs.Metrics.gauge name) v in
   let gi name v = g name (float_of_int v) in
   (* Some resilience totals are live counters owned by their subsystem
-     (pool watchdog, checkpoint, validation, chaos) — but increments in
+     (pool, checkpoint, validation, chaos) — but increments in
      forked workers die with the worker process, so the master's
      counter can undershoot the merged run total.  Top the existing
      counter up to the merged value rather than registering a clashing
@@ -153,7 +152,6 @@ let record_metrics t =
   (let r = e.Engine.resilience in
    gi "symsysc_engine_requeued" r.Engine.res_requeued;
    gi "symsysc_engine_worker_deaths" r.Engine.res_worker_deaths;
-   ci "symsysc_pool_workers_hung" r.Engine.res_hung;
    ci "symsysc_pool_units_quarantined" r.Engine.res_quarantined;
    ci "symsysc_pool_lease_expired_total" r.Engine.res_lease_expired;
    ci "symsysc_pool_duplicate_results_total" r.Engine.res_duplicates;
@@ -254,7 +252,6 @@ let to_json t =
         Obj
           [ ("requeued", Int r.Engine.res_requeued);
             ("worker_deaths", Int r.Engine.res_worker_deaths);
-            ("hung", Int r.Engine.res_hung);
             ("quarantined", Int r.Engine.res_quarantined);
             ("lease_expired", Int r.Engine.res_lease_expired);
             ("duplicates", Int r.Engine.res_duplicates);

@@ -55,8 +55,8 @@ let params_signature (p : Tests.params) =
 
 let scenario ?(num_sources = 8) ?(t5_max_len = 16) ?session ?max_paths
     ?max_seconds ?max_solver_conflicts ?solver_timeout_ms ?max_memory_mb
-    ?stop_after_errors ?seed ?workers ?heartbeat_ms ?listen ?lease_ms
-    ?validate ?strategy () =
+    ?stop_after_errors ?seed ?workers ?listen ?lease_ms ?validate
+    ?strategy () =
   let params = Tests.scaled_params ~num_sources ~t5_max_len in
   let session =
     match session with
@@ -70,7 +70,7 @@ let scenario ?(num_sources = 8) ?(t5_max_len = 16) ?session ?max_paths
             max_solver_conflicts;
             solver_timeout_ms;
             max_memory_mb }
-        ?stop_after_errors ?seed ?workers ?heartbeat_ms ?listen ?lease_ms
+        ?stop_after_errors ?seed ?workers ?listen ?lease_ms
         ~cookie:(params_signature params) ?validate ()
   in
   { params; session }

@@ -47,7 +47,6 @@ val scenario :
   ?stop_after_errors:int ->
   ?seed:int ->
   ?workers:int ->
-  ?heartbeat_ms:int ->
   ?listen:Symex.Transport.listener ->
   ?lease_ms:int ->
   ?validate:bool ->

@@ -131,7 +131,7 @@ let tick_top s snap =
       Format.fprintf s.out "\027[2K[top]";
       List.iter
         (fun w ->
-           Format.fprintf s.out "  w%d[%s] %s hb=%.1fs" w.wr_id w.wr_addr
+           Format.fprintf s.out "  w%d[%s] %s last=%.1fs" w.wr_id w.wr_addr
              (if w.wr_busy then "busy" else "idle")
              w.wr_age)
         chunk;

@@ -8,7 +8,8 @@
       every [interval] finished paths.
     - {!configure_top} — a [top]-style TTY dashboard redrawn in place
       every [refresh_s] seconds: paths/s, frontier depth, solver
-      fraction, cache hit rate, and per-worker health/heartbeat age.
+      fraction, cache hit rate, and per-worker busy/idle state with the
+      age of each worker's last frame.
 
     Rates (paths/s, instructions/s) are computed over the window since
     the previous tick; solver fraction and cache hit rate are
@@ -16,10 +17,10 @@
 
 type worker_row = {
   wr_id : int;
-  wr_addr : string;     (** peer transport/address, e.g. [pipe:w0] or
-                            [tcp:127.0.0.1:51234] *)
+  wr_addr : string;     (** peer address, e.g. [w0] for a forked
+                            worker or [127.0.0.1:51234] *)
   wr_busy : bool;       (** a work unit is currently dispatched to it *)
-  wr_age : float;       (** seconds since its last heartbeat/frame *)
+  wr_age : float;       (** seconds since its last frame *)
 }
 
 type snapshot = {

@@ -177,7 +177,7 @@ let run ?pressure_mb ~listener opts =
         ~finally:(fun () -> Transport.close conn)
         (fun () ->
            (* A stalled client must not stall the campaign. *)
-           (try Unix.setsockopt_float conn.Transport.c_in Unix.SO_RCVTIMEO 2.0
+           (try Unix.setsockopt_float conn.Transport.c_fd Unix.SO_RCVTIMEO 2.0
             with Unix.Unix_error _ | Invalid_argument _ -> ());
            (* A malformed frame ([Failure]) is the client's fault: drop
               the connection and keep serving. *)

@@ -32,7 +32,6 @@ type checkpoint_policy = Checkpoint.policy = {
 type resilience = {
   res_requeued : int;
   res_worker_deaths : int;
-  res_hung : int;
   res_quarantined : int;
   res_lease_expired : int;
   res_duplicates : int;
@@ -45,7 +44,6 @@ type resilience = {
 let no_resilience =
   { res_requeued = 0;
     res_worker_deaths = 0;
-    res_hung = 0;
     res_quarantined = 0;
     res_lease_expired = 0;
     res_duplicates = 0;
@@ -1192,7 +1190,6 @@ module Session = struct
     resume : Checkpoint.t option;
     seed : int option;
     workers : int;
-    heartbeat_ms : int option;
     listen : Transport.listener option;
     lease_ms : int option;
     cookie : string option;
@@ -1204,16 +1201,12 @@ module Session = struct
   let max_unit_crashes = 3
 
   let make ?strategy ?(limits = no_limits) ?stop_after_errors ?checkpoint
-      ?resume ?seed ?(workers = 1) ?heartbeat_ms ?listen ?lease_ms ?cookie
+      ?resume ?seed ?(workers = 1) ?listen ?lease_ms ?cookie
       ?(validate = true) () =
     if workers < 1 && listen = None then
       invalid_arg "Engine.Session.make: workers must be >= 1";
     if workers < 0 then
       invalid_arg "Engine.Session.make: workers must be >= 0";
-    (match heartbeat_ms with
-     | Some ms when ms < 1 ->
-       invalid_arg "Engine.Session.make: heartbeat_ms must be >= 1"
-     | _ -> ());
     (match lease_ms with
      | Some ms when ms < 1 ->
        invalid_arg "Engine.Session.make: lease_ms must be >= 1"
@@ -1225,7 +1218,7 @@ module Session = struct
       | None, None -> Search.Dfs
     in
     { strategy; limits; stop_after_errors; checkpoint; resume; seed; workers;
-      heartbeat_ms; listen; lease_ms; cookie; validate }
+      listen; lease_ms; cookie; validate }
 
   (* What the sequential loop and a pool worker's context read. *)
   let to_config t : config =
@@ -1249,7 +1242,6 @@ module Session = struct
             limits = t.limits;
             stop_after_errors = t.stop_after_errors;
             label;
-            heartbeat_ms = t.heartbeat_ms;
             max_unit_crashes;
             listen = t.listen;
             lease_ms = t.lease_ms;
@@ -1283,7 +1275,6 @@ module Session = struct
             { no_resilience with
               res_requeued = r.Pool.r_requeued;
               res_worker_deaths = r.Pool.r_worker_deaths;
-              res_hung = r.Pool.r_hung;
               res_quarantined = r.Pool.r_quarantined;
               res_lease_expired = r.Pool.r_lease_expired;
               res_duplicates = r.Pool.r_duplicates;

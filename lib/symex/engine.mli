@@ -72,8 +72,7 @@ type checkpoint_policy = Checkpoint.policy = {
 
 type resilience = {
   res_requeued : int;        (** work units re-queued after a fault *)
-  res_worker_deaths : int;   (** worker processes lost (incl. watchdog kills) *)
-  res_hung : int;            (** workers killed by the heartbeat watchdog *)
+  res_worker_deaths : int;   (** worker processes and remote peers lost *)
   res_quarantined : int;     (** poison units dropped after repeated crashes *)
   res_lease_expired : int;   (** leases past deadline, re-granted elsewhere *)
   res_duplicates : int;      (** duplicate/late results dropped
@@ -152,20 +151,20 @@ module Session : sig
     seed : int option;     (** recorded seed (drives the default
                                [Random_path] strategy when set) *)
     workers : int;
-    heartbeat_ms : int option;
-        (** worker heartbeat period: workers emit liveness frames at
-            this period and the master kills (and requeues the unit
-            of) any worker silent for [max (8*hb, 1s)]; [None]
-            disables the watchdog.  Ignored for sequential runs. *)
     listen : Transport.listener option;
         (** accept remote TCP workers on this bound listener (the
             caller owns and closes it); forces the pool engine even
             with [workers <= 1], and allows [workers = 0] *)
     lease_ms : int option;
-        (** work-unit lease deadline: a granted unit whose holder is
-            silent this long is re-queued for another peer (the holder
-            is not killed; its late result is dropped
-            first-result-wins).  [None] disables lease expiry. *)
+        (** work-unit lease deadline, the pool's only liveness rule: a
+            granted unit whose holder sends no result this long is
+            re-queued for another peer, and the holder gets no new unit
+            until it is heard from again; a forked one is replaced and,
+            if still silent at the end of the run, killed (see
+            {!Pool}).  The holder is not killed at expiry; its late
+            result is dropped first-result-wins.  [None] disables lease
+            expiry, and a wedged worker then blocks the run.  Ignored
+            for sequential runs. *)
     cookie : string option;
         (** parameter fingerprint checked against remote workers'
             hello frames; a mismatch rejects the worker before it can
@@ -184,7 +183,6 @@ module Session : sig
     ?resume:Checkpoint.t ->
     ?seed:int ->
     ?workers:int ->
-    ?heartbeat_ms:int ->
     ?listen:Transport.listener ->
     ?lease_ms:int ->
     ?cookie:string ->
@@ -192,12 +190,12 @@ module Session : sig
     unit ->
     t
   (** Build a session.  Defaults: no budgets, no checkpointing, one
-      worker, no heartbeats, no listener, no leases, validation on.
+      worker, no listener, no leases, validation on.
       The strategy defaults to [Random_path seed] when [seed] is given
       and [strategy] is not, and to [Dfs] otherwise.  Raises
       [Invalid_argument] when [workers < 1] without [listen] (with a
       listener [workers = 0] is allowed — remote peers do all the
-      work), or when [heartbeat_ms < 1] or [lease_ms < 1]. *)
+      work), or when [lease_ms < 1]. *)
 
   val run : ?label:string -> t -> (unit -> unit) -> report
   (** Explore a testbench under this session.  Nested runs are not
@@ -236,8 +234,8 @@ module Session : sig
       With [t.listen] set the master also accepts remote TCP workers
       (see {!serve}); units are leased ([t.lease_ms]) and results
       merged first-result-wins, so the final report is byte-equivalent
-      to a pipe-only run of the same session regardless of worker
-      placement, reconnects or duplicated results. *)
+      to a run of the same session on forked workers alone, regardless
+      of worker placement, reconnects or duplicated results. *)
 
   val serve :
     host:string -> port:int -> workers:int -> ?backoff_seed:int ->

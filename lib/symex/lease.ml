@@ -6,7 +6,7 @@
 
    - peer died / disconnected: its entry is requeued (attempts intact)
      and regranted to the next idle peer;
-   - peer went silent past the deadline: the entry expires and is
+   - holder sent no result by the deadline: the entry expires and is
      requeued WITHOUT killing the holder — if the slow result arrives
      later it is merged iff the unit is still unsettled;
    - result arrives twice (dup-result chaos, or a regrant racing the
@@ -45,8 +45,6 @@ let regrant t e ~now =
   e.l_attempts <- e.l_attempts + 1;
   e.l_deadline <- deadline t ~now;
   e
-
-let renew t e ~now = e.l_deadline <- deadline t ~now
 
 let expired e ~now = now > e.l_deadline
 

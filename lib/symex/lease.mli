@@ -13,8 +13,9 @@
     its deadline is requeued for regrant while the original holder
     keeps running.  Whichever copy finishes first settles the unit;
     the loser becomes a counted duplicate.  This turns "stalled socket
-    or wedged remote worker" from a hang into a bounded wait without
-    ever discarding work already in flight. *)
+    or wedged worker" from a hang into a bounded wait without ever
+    discarding work already in flight.  The deadline is fixed at grant:
+    the holder's result is the only frame it sends for the unit. *)
 
 type entry = {
   l_id : int;                 (** unique per dispatched unit, never reused *)
@@ -27,8 +28,8 @@ type entry = {
 type t
 
 val create : lease_ms:int option -> t
-(** [lease_ms = None] disables deadlines (entries never expire);
-    liveness then rests on the heartbeat watchdog alone. *)
+(** [lease_ms = None] disables deadlines (entries never expire), and
+    with them the pool's only rule for a wedged holder. *)
 
 val make_entry :
   t -> id:int -> site:string -> prefix:Decision.t array -> now:float -> entry
@@ -37,10 +38,6 @@ val make_entry :
 val regrant : t -> entry -> now:float -> entry
 (** Re-grant after expiry or holder death: bumps [l_attempts] and
     restarts the deadline. *)
-
-val renew : t -> entry -> now:float -> unit
-(** Push the deadline out.  Called on {e any} frame from the holder —
-    heartbeats and results both prove liveness. *)
 
 val expired : entry -> now:float -> bool
 

@@ -30,7 +30,6 @@ type config = {
   limits : Budget.t;
   stop_after_errors : int option;
   label : string;
-  heartbeat_ms : int option;
   max_unit_crashes : int;
   listen : Transport.listener option;
   lease_ms : int option;
@@ -53,7 +52,6 @@ type result = {
   r_dispatched : int;
   r_requeued : int;
   r_worker_deaths : int;
-  r_hung : int;
   r_quarantined : int;
   r_lease_expired : int;
   r_duplicates : int;
@@ -67,8 +65,7 @@ type result = {
 (* Message encoding.  Prefixes travel in their Decision.to_string form
    — the same representation checkpoints use — so work units are
    replayed without consulting the solver.  The framing itself
-   (length-prefixed JSON) lives in {!Transport} and is identical over
-   pipes and sockets. *)
+   (length-prefixed JSON) lives in {!Transport}. *)
 
 let frame_string = Transport.frame_string
 
@@ -125,11 +122,9 @@ let bye_msg = Json.Obj [ ("cmd", Json.Str "bye") ]
 let fatal_msg msg =
   Json.Obj [ ("cmd", Json.Str "fatal"); ("msg", Json.Str msg) ]
 
-let hb_msg id = Json.Obj [ ("cmd", Json.Str "hb"); ("worker", Json.Int id) ]
-
 (* The TCP registration handshake.  A dialing worker introduces itself
    with [hello]; the master either answers [welcome] (assigning the
-   peer id and pushing down heartbeat/forwarding settings) or a [fatal]
+   peer id and pushing down the forwarding settings) or a [fatal]
    frame naming the mismatch — a worker started with the wrong
    testbench, strategy or parameters must fail loudly, not corrupt the
    campaign. *)
@@ -142,11 +137,10 @@ let hello_msg ~label ~strategy ~slot ~reconnects ~cookie =
        ("reconnects", Json.Int reconnects) ]
      @ match cookie with None -> [] | Some c -> [ ("cookie", Json.Str c) ])
 
-let welcome_msg ~peer ~heartbeat_ms ~forward ~epoch =
+let welcome_msg ~peer ~forward ~epoch =
   Json.Obj
     [ ("cmd", Json.Str "welcome");
       ("peer", Json.Int peer);
-      ("heartbeat_ms", Json.Int (Option.value ~default:0 heartbeat_ms));
       ("forward", Json.Bool forward);
       ("epoch", if Float.is_nan epoch then Json.Null else Json.Float epoch) ]
 
@@ -285,68 +279,31 @@ let result_of_json j =
             (Option.bind (Json.member "events_dropped" j) Json.to_int_opt) } )
 
 (* ------------------------------------------------------------------ *)
-(* Worker side: the unit-serving loop, shared by forked pipe workers
-   and remote TCP workers.  Both silence inherited telemetry, serve
-   units until a stop frame, EOF or drain, and exit without running the
-   master's [at_exit] hooks.
-
-   With a heartbeat period configured, a SIGALRM-driven timer writes a
-   tiny "hb" frame at that period, proving to the master's watchdog
-   that the worker is alive even while a long solver call is in
-   flight.  The [writing] flag keeps the handler from splicing a
-   heartbeat into the middle of a result frame.
+(* Worker side: one session over one connection, shared by forked local
+   workers and remote TCP workers.  A session silences inherited
+   telemetry, serves units until a stop frame or a drain, and raises
+   {!Transport.Disconnected} on every link fault: EOF, EPIPE, and the
+   [conn-drop]/[frame-shear] chaos points alike.  A forked worker turns
+   that into exit status 0, a remote one into a redial.
 
    SIGTERM requests a {e drain}: the worker finishes the unit in hand,
    flushes its result (with the event/coverage/profile deltas), sends a
    [bye] frame so the master deregisters it without counting a death,
    and exits. *)
 
-type served = Served_stop | Served_drain
-
-let stop_heartbeat () =
-  try
-    ignore
-      (Unix.setitimer Unix.ITIMER_REAL
-         { Unix.it_interval = 0.0; it_value = 0.0 })
-  with _ -> ()
-
-let start_heartbeat ~heartbeat_ms ~writing conn id =
-  match heartbeat_ms with
-  | None -> ()
-  | Some ms ->
-    let iv = float_of_int (max 1 ms) /. 1000.0 in
-    Sys.set_signal Sys.sigalrm
-      (Sys.Signal_handle
-         (fun _ ->
-            if not !writing then
-              try Transport.write_frame conn (hb_msg id) with _ -> ()));
-    ignore
-      (Unix.setitimer Unix.ITIMER_REAL
-         { Unix.it_interval = iv; it_value = iv })
-
-let serve_conn ~exec ~conn ~drain ~writing ~forward ~reconnectable () =
+let serve_conn ~exec ~conn ~drain ~forward () =
   let send_raw s len =
-    writing := true;
-    Fun.protect
-      ~finally:(fun () -> writing := false)
-      (fun () ->
-         Transport.write_all conn.Transport.c_out (Bytes.unsafe_of_string s) 0
-           len)
+    Transport.write_all conn.Transport.c_fd (Bytes.unsafe_of_string s) 0 len
   in
   let send j =
     let s = frame_string j in
     send_raw s (String.length s)
   in
-  (* A pipe worker cannot redial its pipe.  Worker-level chaos kills
-     the process with a non-zero status, as a real crash would;
-     connection-level chaos ends it with status 0, as a real lost link
-     does ([worker_main] exits 0 when its transport fails), so the
-     master sees EOF from a worker that did not crash.  A TCP worker
-     closes the socket and unwinds to its reconnect loop instead. *)
-  let vanish code =
-    stop_heartbeat ();
-    Unix._exit code
-  in
+  (* Worker-level chaos kills the process with a non-zero status, as a
+     real crash would.  Connection-level chaos raises [Disconnected]
+     without closing the socket: a forked worker exits with status 0,
+     so the master sees EOF only once the worker has exited and reaps a
+     status that says it did not crash. *)
   let send_result id res =
     let res =
       if forward then begin
@@ -360,7 +317,7 @@ let serve_conn ~exec ~conn ~drain ~writing ~forward ~reconnectable () =
       (* A worker dying mid-write: half a frame, then gone. *)
       let s = frame_string j in
       (try send_raw s (String.length s / 2) with _ -> ());
-      vanish 132
+      Unix._exit 132
     end
     else if Chaos.fire Chaos.Frame_corrupt then begin
       (* Well-framed garbage: the length header is intact but the
@@ -373,54 +330,35 @@ let serve_conn ~exec ~conn ~drain ~writing ~forward ~reconnectable () =
       in
       send_raw s (String.length s)
     end
-    else if Chaos.fire Chaos.Conn_drop then begin
+    else if Chaos.fire Chaos.Conn_drop then
       (* The connection goes away before the result ships: the master
-         requeues the unit under its lease. *)
-      if reconnectable then begin
-        Transport.close conn;
-        raise (Transport.Disconnected "chaos conn-drop")
-      end
-      else vanish 0
-    end
+         requeues the unit. *)
+      raise (Transport.Disconnected "chaos conn-drop")
     else if Chaos.fire Chaos.Frame_shear then begin
       (* The connection dies mid-write: the master reads a sheared
          frame, then EOF. *)
       let s = frame_string j in
       (try send_raw s (String.length s / 2) with _ -> ());
-      if reconnectable then begin
-        Transport.close conn;
-        raise (Transport.Disconnected "chaos frame-shear")
-      end
-      else vanish 0
+      raise (Transport.Disconnected "chaos frame-shear")
     end
     else begin
-      if Chaos.fire Chaos.Conn_stall then begin
-        (* A stalled socket: the result arrives, but late — late enough
-           to expire a short lease, short enough that a clean run's
-           watchdog (>= 1 s grace) never reaps the worker.  [writing]
-           also suppresses heartbeats for the duration, so the stall is
-           real silence on the wire. *)
-        writing := true;
-        Unix.sleepf 0.2;
-        writing := false
-      end;
+      (* A stalled socket: the result arrives, but late enough to
+         expire a short lease. *)
+      if Chaos.fire Chaos.Conn_stall then Unix.sleepf 0.2;
       send j;
       (* First-result-wins on the master makes the duplicate frame a
          counted no-op. *)
       if Chaos.fire Chaos.Dup_result then send j
     end
   in
-  let graceful () =
-    (try send bye_msg with _ -> ());
-    Served_drain
-  in
+  let graceful () = try send bye_msg with _ -> () in
   (* Wait for a frame without blocking past a drain request: a SIGTERM
      during the select shows up as EINTR (or the next timeout) and the
      idle worker deregisters immediately instead of hanging in read. *)
   let rec await () =
     if !drain then None
     else
-      match Unix.select [ conn.Transport.c_in ] [] [] 0.25 with
+      match Unix.select [ conn.Transport.c_fd ] [] [] 0.25 with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> await ()
       | [], _, _ -> await ()
       | _ -> Some (Transport.read_frame conn)
@@ -430,7 +368,7 @@ let serve_conn ~exec ~conn ~drain ~writing ~forward ~reconnectable () =
     | None -> graceful ()
     | Some j ->
       (match Option.bind (Json.member "cmd" j) Json.to_string_opt with
-       | Some "stop" | None -> Served_stop
+       | Some "stop" | None -> ()
        | Some "unit" ->
          let id =
            Option.value ~default:0
@@ -441,57 +379,39 @@ let serve_conn ~exec ~conn ~drain ~writing ~forward ~reconnectable () =
             | Some pj -> prefix_of_json pj
             | None -> Error "pool: unit missing prefix"
           with
-          | Error msg -> send (fatal_msg msg); Served_stop
+          | Error msg -> send (fatal_msg msg)
           | Ok prefix ->
-            if Chaos.fire Chaos.Worker_crash then vanish 131;
-            if Chaos.fire Chaos.Worker_hang then begin
-              (* A stuck worker: no heartbeats, no result, no exit.
-                 Only the master's watchdog (or lease) can clear it. *)
-              stop_heartbeat ();
+            if Chaos.fire Chaos.Worker_crash then Unix._exit 131;
+            if Chaos.fire Chaos.Worker_hang then
+              (* A stuck worker: no result, no exit.  Only the lease
+                 clears it. *)
               while true do
                 Unix.sleepf 3600.0
-              done
-            end;
+              done;
             (match exec ~prefix with
              | res ->
                send_result id res;
                if !drain then graceful () else loop ()
-             | exception exn ->
-               send (fatal_msg (Printexc.to_string exn));
-               Served_stop))
+             | exception exn -> send (fatal_msg (Printexc.to_string exn))))
        | Some _ -> loop ())
   in
   loop ()
 
-let worker_main ~exec ~worker_id ~heartbeat_ms r w =
+(* [peer] salts the chaos streams: siblings inherit identical streams
+   over [fork] and would otherwise all fail on the same draw, and the
+   reseed also zeroes the inherited injection counters, so the worker
+   accounts only its own.  With [forward], the worker sends its trace
+   events back in result frames, timestamped on the master's [epoch]. *)
+let session ~exec ~drain ~peer ~forward ~epoch conn =
   Obs.Progress.disable ();
-  (* If the master has a live trace recorder, this worker forwards its
-     own event stream back in result frames.  Capture the master's
-     epoch before resetting the sink, then re-pin it, so forwarded
-     timestamps share the master's timeline. *)
-  let forward = Obs.Export.active () in
-  let master_epoch = Obs.Sink.current_epoch () in
   Obs.Sink.reset ();
   if forward then begin
-    if not (Float.is_nan master_epoch) then Obs.Sink.set_epoch master_epoch;
+    if not (Float.is_nan epoch) then Obs.Sink.set_epoch epoch;
     Obs.Export.forwarding_begin ()
   end;
-  Transport.init ();
-  (* Each forked worker must draw its own chaos decisions — siblings
-     inherit identical PRNG streams over [fork] and would otherwise all
-     fail on the same draw.  This also zeroes the injection counters
-     inherited from the master, so the worker accounts only its own. *)
-  if Chaos.active () then Chaos.reseed worker_id;
-  let conn = Transport.pipe_conn ~addr:(Printf.sprintf "w%d" worker_id) r w in
-  let writing = ref false in
-  let drain = ref false in
+  if Chaos.active () then Chaos.reseed peer;
   Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> drain := true));
-  start_heartbeat ~heartbeat_ms ~writing conn worker_id;
-  (match serve_conn ~exec ~conn ~drain ~writing ~forward ~reconnectable:false () with
-   | Served_stop | Served_drain -> ()
-   | exception _ -> ());
-  stop_heartbeat ();
-  Unix._exit 0
+  serve_conn ~exec ~conn ~drain ~forward ()
 
 (* ------------------------------------------------------------------ *)
 (* Master side. *)
@@ -503,8 +423,11 @@ type peer = {
   mutable p_lease : (Lease.entry * float) option;
       (* granted lease and dispatch time *)
   mutable p_alive : bool;
+  mutable p_expired : bool;
+      (* silent past its lease deadline and not heard from since: gets
+         no unit and does not count toward the local pool's strength *)
   mutable p_last_seen : float;
-      (* last frame (result, bye or heartbeat) received from this peer *)
+      (* last frame received from this peer *)
   mutable p_chaos : (string * int) list;
       (* cumulative injection counts last reported by this peer *)
 }
@@ -518,8 +441,15 @@ let max_dispatch_stalls = 10_000
 
 (* A dialed-in connection that never completes its hello is dropped
    after this long, so a port scanner or wedged dialer cannot pin
-   master resources. *)
+   master resources.  It is also the receive timeout of every
+   master-side peer socket: the master reads a frame once [select]
+   reports its first byte, and a peer that stops halfway through a
+   frame must not block it. *)
 let handshake_timeout_s = 5.0
+
+let set_recv_timeout (c : Transport.conn) =
+  try Unix.setsockopt_float c.Transport.c_fd Unix.SO_RCVTIMEO handshake_timeout_s
+  with Unix.Unix_error _ -> ()
 
 let run cfg ?resume ?checkpoint ~exec () =
   (match cfg.listen with
@@ -557,7 +487,6 @@ let run cfg ?resume ?checkpoint ~exec () =
   let dispatched = ref 0 in
   let requeued = ref 0 in
   let deaths = ref 0 in
-  let hung = ref 0 in
   let quarantined = ref 0 in
   let lease_expired = ref 0 in
   let duplicates = ref 0 in
@@ -639,11 +568,6 @@ let run cfg ?resume ?checkpoint ~exec () =
     Obs.Metrics.counter ~help:"worker processes lost mid-run"
       "symsysc_pool_worker_deaths"
   in
-  let m_hung =
-    Obs.Metrics.counter
-      ~help:"workers killed by the heartbeat watchdog"
-      "symsysc_pool_workers_hung"
-  in
   let m_quarantined =
     Obs.Metrics.counter
       ~help:"work units quarantined after repeatedly killing workers"
@@ -664,56 +588,63 @@ let run cfg ?resume ?checkpoint ~exec () =
       "symsysc_pool_reconnects_total"
   in
   (* Workers are spawned dynamically (the master replaces dead ones),
-     so each spawn creates its own pipe pair and the master closes the
-     worker-side ends immediately after the fork.  A child can then
-     only inherit the master-side ends of the siblings alive at its
-     fork — it closes those too — and crucially can never inherit a
-     sibling's result-write end, which is what would mask the EOF that
-     signals that sibling's death.  The listener descriptor is closed
-     in the child for the same reason.  A dead peer's descriptors are
-     already closed, and this spawn's own pipes may have reused their
-     numbers, so the child leaves them alone. *)
+     so each spawn creates its own socketpair and the master closes the
+     worker's end immediately after the fork.  A child can then only
+     inherit the master's ends of the siblings alive at its fork, and
+     it closes those too: a sibling would otherwise never see EOF when
+     the master goes away.  The listener descriptor is closed in the
+     child for the same reason.  A dead peer's descriptor is already
+     closed, and this spawn's own socketpair may have reused its
+     number, so the child leaves it alone.  A forked worker needs no
+     handshake: it inherits the telemetry settings a [welcome] would
+     carry. *)
   let peers : peer list ref = ref [] in
   let unregistered : (Transport.conn * float) list ref = ref [] in
   let next_id = ref 0 in
   let spawns = ref 0 in
   let spawn_cap = cfg.workers + 1024 in
   let spawn () =
-    let ur, uw = Unix.pipe () in
-    let rr, rw = Unix.pipe () in
+    let mine, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     flush stdout;
     flush stderr;
     let id = !next_id in
     incr next_id;
     incr spawns;
+    let addr = Printf.sprintf "w%d" id in
     match Unix.fork () with
     | 0 ->
-      (try Unix.close uw with _ -> ());
-      (try Unix.close rr with _ -> ());
+      Unix.close mine;
       (match cfg.listen with
        | Some l -> (try Unix.close (Transport.listener_fd l) with _ -> ())
        | None -> ());
       List.iter (fun p -> if p.p_alive then Transport.close p.p_conn) !peers;
       List.iter (fun (c, _) -> Transport.close c) !unregistered;
-      (try
-         worker_main ~exec ~worker_id:id ~heartbeat_ms:cfg.heartbeat_ms ur rw
-       with _ -> ());
-      Unix._exit 125
+      (match
+         session ~exec ~drain:(ref false) ~peer:id
+           ~forward:(Obs.Export.active ())
+           ~epoch:(Obs.Sink.current_epoch ())
+           { Transport.c_fd = theirs; c_addr = addr }
+       with
+       | () | (exception Transport.Disconnected _) -> Unix._exit 0
+       | exception _ -> Unix._exit 125)
     | pid ->
-      (try Unix.close ur with _ -> ());
-      (try Unix.close rw with _ -> ());
+      Unix.close theirs;
+      let c = { Transport.c_fd = mine; c_addr = addr } in
+      set_recv_timeout c;
       let p =
-        { p_id = id; p_pid = Some pid;
-          p_conn = Transport.pipe_conn ~addr:(Printf.sprintf "w%d" id) rr uw;
-          p_lease = None; p_alive = true;
+        { p_id = id; p_pid = Some pid; p_conn = c; p_lease = None;
+          p_alive = true; p_expired = false;
           p_last_seen = Unix.gettimeofday (); p_chaos = [] }
       in
       peers := !peers @ [ p ]
   in
   for _ = 1 to cfg.workers do spawn () done;
   let elapsed () = Unix.gettimeofday () -. started in
-  let local_alive () =
-    List.filter (fun p -> p.p_alive && p.p_pid <> None) !peers
+  let local_strength () =
+    List.length
+      (List.filter
+         (fun p -> p.p_alive && p.p_pid <> None && not p.p_expired)
+         !peers)
   in
   let inflight () =
     List.fold_left
@@ -767,30 +698,30 @@ let run cfg ?resume ?checkpoint ~exec () =
      the unit is quarantined instead of requeued — losing one path
      (and the exhaustiveness claim) beats losing the whole campaign.
      Keyed on crashes, not lease attempts: expiry regrants of a merely
-     slow unit must never quarantine it.  Nor is a lost link a crash:
-     a forked worker whose pipe fails exits normally (status 0, see
-     [worker_main]), and its unit is requeued without blame.  A remote
-     peer leaves no exit status, so its lost connection is still
-     charged to the unit. *)
+     slow unit must never quarantine it.  A unit is charged only on
+     evidence of a crash, which only a forked worker's exit status
+     gives: a worker whose link fails exits with status 0, and a remote
+     peer leaves no status at all, so its EOF, reset or failed write
+     is a lost link.  Either way the unit is requeued without blame. *)
   let crash_counts : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let prefix_key p =
     String.concat ";" (Array.to_list (Array.map Decision.to_string p))
   in
-  let handle_death ?(hung = false) ?(graceful = false) p =
+  let handle_death ?(graceful = false) p =
     p.p_alive <- false;
-    let link_lost =
+    let crashed =
       match p.p_pid with
       | Some pid ->
-        (* SIGKILL before reaping: a hung worker never exits on its own,
-           and one that sent a corrupt frame may still be running.  A
-           worker whose EOF we saw has already exited, so the kill
-           leaves its status alone. *)
+        (* SIGKILL before reaping: a worker that sent a corrupt or
+           stalled frame may still be running.  A worker whose EOF we
+           saw has already exited (workers never close their socket
+           first), so the kill leaves its status alone. *)
         if not graceful then (try Unix.kill pid Sys.sigkill with _ -> ());
         Transport.close p.p_conn;
         (match Unix.waitpid [] pid with
-         | _, Unix.WEXITED 0 -> true
-         | _ -> false
-         | exception _ -> false)
+         | _, Unix.WEXITED 0 -> false
+         | _ -> true
+         | exception _ -> true)
       | None -> Transport.close p.p_conn; false
     in
     if not graceful then begin
@@ -801,10 +732,10 @@ let run cfg ?resume ?checkpoint ~exec () =
      | Some (e, _) ->
        p.p_lease <- None;
        if Lease.is_settled leases e.Lease.l_id then ()
-       else if graceful || link_lost then begin
+       else if graceful || not crashed then begin
          (* A draining peer should have settled its unit first; if not,
             the unit is simply another orphaned grant.  So is the unit
-            of a worker that lost its link. *)
+            of a peer that lost its link. *)
          incr requeued;
          Obs.Metrics.inc m_requeued;
          Lease.requeue leases e
@@ -835,10 +766,9 @@ let run cfg ?resume ?checkpoint ~exec () =
            Obs.Sink.instant ~cat:"pool"
              (if quarantine then "quarantine" else "worker-death")
              ~args:[ ("worker", Obs.Event.Int p.p_id);
-                     ("addr", Obs.Event.Str (Transport.describe p.p_conn));
+                     ("addr", Obs.Event.Str p.p_conn.Transport.c_addr);
                      ("unit", Obs.Event.Int e.Lease.l_id);
                      ("attempt", Obs.Event.Int e.Lease.l_attempts);
-                     ("hung", Obs.Event.Bool hung);
                      ("crashes", Obs.Event.Int crashes);
                      ("requeued", Obs.Event.Bool (not quarantine)) ]
        end
@@ -847,8 +777,7 @@ let run cfg ?resume ?checkpoint ~exec () =
          Obs.Sink.instant ~cat:"pool"
            (if graceful then "peer-drain" else "worker-death")
            ~args:[ ("worker", Obs.Event.Int p.p_id);
-                   ("addr", Obs.Event.Str (Transport.describe p.p_conn));
-                   ("hung", Obs.Event.Bool hung);
+                   ("addr", Obs.Event.Str p.p_conn.Transport.c_addr);
                    ("requeued", Obs.Event.Bool false) ])
   in
   let dispatch p =
@@ -870,7 +799,6 @@ let run cfg ?resume ?checkpoint ~exec () =
     | Some e ->
       incr dispatched;
       p.p_lease <- Some (e, t);
-      p.p_last_seen <- t;
       Obs.Metrics.inc m_dispatched;
       Obs.Metrics.set m_queue (float_of_int (Search.length frontier));
       if !Obs.Sink.enabled then
@@ -1034,37 +962,39 @@ let run cfg ?resume ?checkpoint ~exec () =
         end;
         match
           Transport.write_frame c
-            (welcome_msg ~peer:id ~heartbeat_ms:cfg.heartbeat_ms
-               ~forward:(Obs.Export.active ())
+            (welcome_msg ~peer:id ~forward:(Obs.Export.active ())
                ~epoch:(Obs.Sink.current_epoch ()))
         with
         | exception _ -> Transport.close c
         | () ->
           let p =
             { p_id = id; p_pid = None; p_conn = c; p_lease = None;
-              p_alive = true; p_last_seen = Unix.gettimeofday ();
-              p_chaos = [] }
+              p_alive = true; p_expired = false;
+              p_last_seen = Unix.gettimeofday (); p_chaos = [] }
           in
           peers := !peers @ [ p ];
           if !Obs.Sink.enabled then
             Obs.Sink.instant ~cat:"pool" "peer-join"
               ~args:[ ("worker", Obs.Event.Int id);
-                      ("addr", Obs.Event.Str (Transport.describe c));
+                      ("addr", Obs.Event.Str c.Transport.c_addr);
                       ("reconnects", Obs.Event.Int recon) ]
       end
   in
+  (* An expired peer may be wedged and never read a [stop]: a forked
+     one is SIGKILLed before it is reaped, a remote one is closed. *)
   let shutdown ~force () =
     List.iter
       (fun p ->
          if p.p_alive then begin
+           let kill = force || p.p_expired in
            (match p.p_pid with
             | Some pid ->
-              if force then (try Unix.kill pid Sys.sigkill with _ -> ())
+              if kill then (try Unix.kill pid Sys.sigkill with _ -> ())
               else (try Transport.write_frame p.p_conn stop_msg with _ -> ());
               Transport.close p.p_conn;
               (try ignore (Unix.waitpid [] pid) with _ -> ())
             | None ->
-              if not force then
+              if not kill then
                 (try Transport.write_frame p.p_conn stop_msg with _ -> ());
               Transport.close p.p_conn);
            p.p_alive <- false
@@ -1078,8 +1008,6 @@ let run cfg ?resume ?checkpoint ~exec () =
       ~args:
         ([ ("workers", Obs.Event.Int cfg.workers);
            ("strategy", Obs.Event.Str strategy_str);
-           ("heartbeat_ms",
-            Obs.Event.Int (Option.value ~default:0 cfg.heartbeat_ms));
            ("lease_ms",
             Obs.Event.Int (Option.value ~default:0 cfg.lease_ms));
            ("resumed", Obs.Event.Bool (resume <> None)) ]
@@ -1121,68 +1049,38 @@ let run cfg ?resume ?checkpoint ~exec () =
            p.Checkpoint.write (snapshot ~final:false)
          end
        | None -> ());
-      (* Lease expiry: a holder silent past its deadline loses the
-         grant — the unit is requeued for another peer — but is NOT
-         killed.  If the slow result still arrives it settles the unit
-         iff nobody beat it; otherwise it is a counted duplicate.
-         This bounds every lost-connection / stalled-socket shape by
-         the lease deadline without ever discarding work. *)
-      (match cfg.lease_ms with
-       | None -> ()
-       | Some _ ->
-         let t = Unix.gettimeofday () in
-         List.iter
-           (fun p ->
-              match p.p_lease with
-              | Some (e, _) when p.p_alive && Lease.expired e ~now:t ->
-                p.p_lease <- None;
-                if not (Lease.is_settled leases e.Lease.l_id) then begin
-                  incr lease_expired;
-                  Obs.Metrics.inc m_lease_expired;
-                  incr requeued;
-                  Obs.Metrics.inc m_requeued;
-                  Lease.requeue leases e;
-                  if !Obs.Sink.enabled then
-                    Obs.Sink.instant ~cat:"pool" "lease-expired"
-                      ~args:[ ("worker", Obs.Event.Int p.p_id);
-                              ("addr",
-                               Obs.Event.Str (Transport.describe p.p_conn));
-                              ("unit", Obs.Event.Int e.Lease.l_id);
-                              ("attempt", Obs.Event.Int e.Lease.l_attempts) ]
-                end
-              | _ -> ())
-           !peers);
-      (* Watchdog: a peer with a unit in flight that has produced no
-         frame — result or heartbeat — within the grace period is
-         presumed wedged (SIGSTOP, runaway loop, injected hang).  It is
-         killed (local) or disconnected (remote) and its unit requeued;
-         EOF detection alone would wait on it forever. *)
-      (match cfg.heartbeat_ms with
-       | None -> ()
-       | Some ms ->
-         (* Generous on purpose: a missed heartbeat must mean a wedged
-            worker, not a loaded machine — a spurious kill is healed by
-            the requeue, but three on one slow unit would quarantine
-            it. *)
-         let grace = Float.max (8.0 *. float_of_int ms /. 1000.0) 1.0 in
-         let t = Unix.gettimeofday () in
-         List.iter
-           (fun p ->
-              if p.p_alive && p.p_lease <> None
-                 && t -. p.p_last_seen > grace
-              then begin
-                incr hung;
-                Obs.Metrics.inc m_hung;
+      (* Lease expiry, the pool's one liveness rule: a holder silent
+         past its deadline loses the grant (the unit is requeued for
+         another peer, never charged) and is marked expired until it
+         sends any frame.  It is NOT killed: a slow worker is as silent
+         as a wedged one, and a unit slower than the lease would be
+         killed on every attempt.  If the slow result still arrives it
+         settles the unit iff nobody beat it; otherwise it is a counted
+         duplicate.  An expired peer gets no new unit, is not busy and
+         is replaced, so a wedged worker costs one lease deadline;
+         shutdown kills it. *)
+      (let t = Unix.gettimeofday () in
+       List.iter
+         (fun p ->
+            match p.p_lease with
+            | Some (e, _) when p.p_alive && Lease.expired e ~now:t ->
+              p.p_lease <- None;
+              p.p_expired <- true;
+              if not (Lease.is_settled leases e.Lease.l_id) then begin
+                incr lease_expired;
+                Obs.Metrics.inc m_lease_expired;
+                incr requeued;
+                Obs.Metrics.inc m_requeued;
+                Lease.requeue leases e;
                 if !Obs.Sink.enabled then
-                  Obs.Sink.instant ~cat:"pool" "watchdog-kill"
+                  Obs.Sink.instant ~cat:"pool" "lease-expired"
                     ~args:[ ("worker", Obs.Event.Int p.p_id);
-                            ("addr",
-                             Obs.Event.Str (Transport.describe p.p_conn));
-                            ("silent_s",
-                             Obs.Event.Float (t -. p.p_last_seen)) ];
-                handle_death ~hung:true p
-              end)
-           !peers);
+                            ("addr", Obs.Event.Str p.p_conn.Transport.c_addr);
+                            ("unit", Obs.Event.Int e.Lease.l_id);
+                            ("attempt", Obs.Event.Int e.Lease.l_attempts) ]
+              end
+            | _ -> ())
+         !peers);
       (* Keep the local pool at strength: dead forked workers are
          replaced while work remains, so a chaos campaign (or a string
          of genuine crashes) degrades throughput rather than the
@@ -1191,7 +1089,7 @@ let run cfg ?resume ?checkpoint ~exec () =
       if !stop_reason = None
          && (Lease.pending leases > 0 || not (Search.is_empty frontier))
       then begin
-        let missing = cfg.workers - List.length (local_alive ()) in
+        let missing = cfg.workers - local_strength () in
         for _ = 1 to min missing (spawn_cap - !spawns) do
           spawn ()
         done
@@ -1210,7 +1108,9 @@ let run cfg ?resume ?checkpoint ~exec () =
           in
           if paths_left then
             match
-              List.find_opt (fun p -> p.p_alive && p.p_lease = None) !peers
+              List.find_opt
+                (fun p -> p.p_alive && p.p_lease = None && not p.p_expired)
+                !peers
             with
             | Some p -> dispatch p; fill ()
             | None -> ()
@@ -1242,7 +1142,7 @@ let run cfg ?resume ?checkpoint ~exec () =
                         { Obs.Progress.wr_id = p.p_id;
                           wr_busy = p.p_lease <> None;
                           wr_age = t -. p.p_last_seen;
-                          wr_addr = Transport.describe p.p_conn }
+                          wr_addr = p.p_conn.Transport.c_addr }
                     else None)
                  !peers }
        end);
@@ -1294,11 +1194,11 @@ let run cfg ?resume ?checkpoint ~exec () =
           | None -> []
         in
         let unreg_fds =
-          List.map (fun (c, _) -> c.Transport.c_in) !unregistered
+          List.map (fun (c, _) -> c.Transport.c_fd) !unregistered
         in
         let peer_fds =
           List.filter_map
-            (fun p -> if p.p_alive then Some p.p_conn.Transport.c_in else None)
+            (fun p -> if p.p_alive then Some p.p_conn.Transport.c_fd else None)
             !peers
         in
         (match Unix.select (listener_fds @ unreg_fds @ peer_fds) [] [] 0.1 with
@@ -1310,13 +1210,14 @@ let run cfg ?resume ?checkpoint ~exec () =
                 | Some l when fd == Transport.listener_fd l ->
                   (match Transport.accept l with
                    | c ->
+                     set_recv_timeout c;
                      unregistered :=
                        !unregistered @ [ (c, Unix.gettimeofday ()) ]
                    | exception _ -> ())
                 | _ ->
                   (match
                      List.find_opt
-                       (fun (c, _) -> c.Transport.c_in == fd)
+                       (fun (c, _) -> c.Transport.c_fd == fd)
                        !unregistered
                    with
                    | Some (c, _) ->
@@ -1327,27 +1228,23 @@ let run cfg ?resume ?checkpoint ~exec () =
                      (* Match on liveness too: a dead peer's closed fd
                         number is reused by the next spawn or accept,
                         and the stale entry would otherwise shadow the
-                        live peer — swallowing its frames until the
-                        watchdog killed it. *)
+                        live peer, swallowing its frames. *)
                      (match
                         List.find_opt
                           (fun p ->
-                             p.p_alive && p.p_conn.Transport.c_in == fd)
+                             p.p_alive && p.p_conn.Transport.c_fd == fd)
                           !peers
                       with
                       | None -> ()
                       | Some p ->
+                        (* A read error, a malformed frame and a frame
+                           that stalls past the receive timeout all end
+                           the peer. *)
                         (match Transport.read_frame p.p_conn with
                          | exception _ -> handle_death p
                          | j ->
                            p.p_last_seen <- Unix.gettimeofday ();
-                           (* Any frame from the holder proves liveness:
-                              renew the lease so heartbeats keep a slow
-                              unit from expiring. *)
-                           (match p.p_lease with
-                            | Some (e, _) ->
-                              Lease.renew leases e ~now:p.p_last_seen
-                            | None -> ());
+                           p.p_expired <- false;
                            (match
                               Option.bind (Json.member "cmd" j)
                                 Json.to_string_opt
@@ -1356,7 +1253,6 @@ let run cfg ?resume ?checkpoint ~exec () =
                               (match result_of_json j with
                                | Ok (id, r) -> merge p id r
                                | Error msg -> raise (Worker_fatal msg))
-                            | Some "hb" -> ()
                             | Some "bye" -> handle_death ~graceful:true p
                             | Some "fatal" ->
                               let msg =
@@ -1409,7 +1305,6 @@ let run cfg ?resume ?checkpoint ~exec () =
                 ("errors", Obs.Event.Int !n_errors);
                 ("requeues", Obs.Event.Int !requeued);
                 ("worker_deaths", Obs.Event.Int !deaths);
-                ("hung", Obs.Event.Int !hung);
                 ("quarantined", Obs.Event.Int !quarantined);
                 ("lease_expired", Obs.Event.Int !lease_expired);
                 ("duplicates", Obs.Event.Int !duplicates);
@@ -1429,7 +1324,6 @@ let run cfg ?resume ?checkpoint ~exec () =
       r_dispatched = !dispatched;
       r_requeued = !requeued;
       r_worker_deaths = !deaths;
-      r_hung = !hung;
       r_quarantined = !quarantined;
       r_lease_expired = !lease_expired;
       r_duplicates = !duplicates;
@@ -1465,7 +1359,6 @@ let serve ~host ~port ~workers ~label ~strategy ?cookie ?(backoff_seed = 0)
   let drain = ref false in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> drain := true));
   let worker_loop slot =
-    let writing = ref false in
     let reconnects = ref 0 in
     let dial_attempt = ref 0 in
     let continue = ref true in
@@ -1510,47 +1403,28 @@ let serve ~host ~port ~workers ~label ~strategy ?cookie ?(backoff_seed = 0)
               continue := false
             | Some "welcome" ->
               dial_attempt := 0;
+              (* The master-assigned peer id is unique per registration,
+                 so reseeded chaos streams differ across reconnects and
+                 across siblings. *)
               let peer =
                 Option.value ~default:0
                   (Option.bind (Json.member "peer" j) Json.to_int_opt)
-              in
-              let heartbeat_ms =
-                match
-                  Option.bind (Json.member "heartbeat_ms" j) Json.to_int_opt
-                with
-                | Some ms when ms > 0 -> Some ms
-                | _ -> None
               in
               let forward =
                 Option.value ~default:false
                   (Option.bind (Json.member "forward" j) Json.to_bool_opt)
               in
-              if forward then begin
-                Obs.Sink.reset ();
-                (match
-                   Option.bind (Json.member "epoch" j) Json.to_float_opt
-                 with
-                 | Some e -> Obs.Sink.set_epoch e
-                 | None -> ());
-                Obs.Export.forwarding_begin ()
-              end;
-              (* The master-assigned peer id is unique per registration,
-                 so reseeded chaos streams differ across reconnects and
-                 across siblings. *)
-              if Chaos.active () then Chaos.reseed peer;
-              start_heartbeat ~heartbeat_ms ~writing conn peer;
-              (match
-                 serve_conn ~exec ~conn ~drain ~writing ~forward
-                   ~reconnectable:true ()
-               with
-               | Served_stop | Served_drain ->
-                 stop_heartbeat ();
+              let epoch =
+                Option.value ~default:Float.nan
+                  (Option.bind (Json.member "epoch" j) Json.to_float_opt)
+              in
+              (match session ~exec ~drain ~peer ~forward ~epoch conn with
+               | () ->
                  Transport.close conn;
                  continue := false
                | exception Transport.Disconnected _ | exception Failure _ ->
                  (* The master went away (or chaos cut the line): come
                     back with backoff, starting the schedule over. *)
-                 stop_heartbeat ();
                  Transport.close conn;
                  incr reconnects;
                  backoff_or_give_up ())
@@ -1568,8 +1442,6 @@ let serve ~host ~port ~workers ~label ~strategy ?cookie ?(backoff_seed = 0)
       List.init workers (fun slot ->
           match Unix.fork () with
           | 0 ->
-            Obs.Progress.disable ();
-            Obs.Sink.reset ();
             let code = try worker_loop slot with _ -> 1 in
             Unix._exit code
           | pid -> pid)

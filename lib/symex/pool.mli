@@ -4,12 +4,14 @@
     testbench, so exploration parallelizes at the path level: the
     {e master} owns the frontier and hands out {e work units} — one
     decision prefix each — to worker processes over length-prefixed
-    {!Obs.Json} frames (see {!Transport}).  Workers come in two
-    transports, speaking the same protocol: [config.workers] forked
-    local processes over pipes, and — with [config.listen] set — any
-    number of remote TCP peers that dial in, register with a
-    [hello]/[welcome] handshake, and are dispatched to exactly like
-    local workers (see {!serve}).  Each worker re-executes the
+    {!Obs.Json} frames (see {!Transport}).  Every worker runs the same
+    session over the same kind of connection, a stream socket:
+    [config.workers] forked local processes, each on one end of a
+    socketpair, and — with [config.listen] set — any number of remote
+    TCP peers that dial in, register with a [hello]/[welcome]
+    handshake, and are dispatched to exactly like local workers (see
+    {!serve}).  A forked worker needs no handshake: it inherits what a
+    [welcome] would tell it.  Each worker re-executes the
     testbench under its prefix with a private solver (caches and all)
     and streams back the forks it discovered, the errors it found, and
     its counter / {!Smt.Solver.Stats} deltas.  The master re-balances
@@ -24,16 +26,25 @@
     {1 Leases}
 
     Every dispatched unit is tracked by a {!Lease}: a never-reused unit
-    id, a deadline, and an attempt count.  Any frame from the holder
-    (heartbeat or result) renews the deadline; a holder silent past it
-    loses the grant — the unit is requeued for another peer — but is
-    {e not} killed, so a merely slow worker keeps computing.  Whichever
-    copy finishes first {e settles} the unit; every later result for
-    the same id is counted in [r_duplicates] and dropped
-    (first-result-wins).  This makes the master idempotent under
-    duplicate, late and replayed results, and bounds every
-    lost-connection or stalled-socket shape by the lease deadline
-    instead of hanging.
+    id, a deadline, and an attempt count.  Leases are the pool's only
+    liveness rule.  A holder that sends no result before the deadline
+    loses the grant — the unit is requeued for another peer and never
+    charged — and is marked {e expired} until it sends any frame.  An
+    expired peer gets no new unit, does not count as busy, and does
+    not count toward the local pool's strength, so a replacement is
+    forked; at shutdown an expired forked worker is SIGKILLed before
+    it is reaped and an expired remote peer is closed without [stop].
+    The holder is {e not} killed at expiry: a slow worker is as silent
+    as a wedged one, so it keeps computing, and whichever copy finishes
+    first {e settles} the unit; every later result for the same id is
+    counted in [r_duplicates] and dropped (first-result-wins).  This
+    makes the master idempotent under duplicate, late and replayed
+    results, and bounds every wedged-worker, lost-connection or
+    stalled-socket shape by the lease deadline instead of hanging.
+    Every expiry forks a replacement while the expired worker runs on,
+    so a lease shorter than a typical unit oversubscribes the machine.
+    Without [lease_ms] nothing expires, and a wedged worker holds its
+    unit, and the run, forever.
 
     {1 Merge semantics}
 
@@ -53,33 +64,30 @@
 
     A peer that dies mid-unit (killed, crashed, connection reset) is
     detected by EOF or a transport error on its connection — or by a
-    torn/unparsable frame, which marks the peer compromised.  Its
-    in-flight lease is re-queued; dead {e local} workers are replaced
-    by respawning while work remains (a spawn cap bounds pathological
-    crash loops), dead {e remote} workers replace themselves by
-    reconnecting with seeded exponential backoff
-    ({!Transport.backoff_delay}).  A remote worker receiving SIGTERM
-    drains gracefully: it finishes the unit in hand, flushes the
-    result, sends a [bye] frame and deregisters without counting as a
-    death.
-
-    With [heartbeat_ms] set, workers emit periodic heartbeat frames
-    from a SIGALRM timer and the master runs a {e watchdog}: a peer
-    holding a unit that produces no frame for [max (8*hb, 1s)] is
-    presumed wedged (e.g. SIGSTOPped), killed (local) or disconnected
-    (remote), and treated as a death — without heartbeats such a
-    worker would block the run forever (unless a lease deadline is
-    set, which requeues the unit without the kill).
+    torn, unparsable or stalled frame, which marks the peer
+    compromised (every master-side socket has a receive timeout, so a
+    peer that stops halfway through a frame cannot block the master).
+    Its in-flight lease is re-queued; dead {e local} workers are
+    replaced by respawning while work remains (a spawn cap bounds
+    pathological crash loops), dead {e remote} workers replace
+    themselves by reconnecting with seeded exponential backoff
+    ({!Transport.backoff_delay}).  A worker receiving SIGTERM drains
+    gracefully: it finishes the unit in hand, flushes the result, sends
+    a [bye] frame and deregisters without counting as a death.
 
     A {e poison unit} whose prefix kills [max_unit_crashes] workers is
     quarantined rather than requeued: the path is dropped (and
     pre-settled, so a late result cannot resurrect it), the run is
     marked degraded (no exhaustiveness claim) and the quarantine is
-    surfaced in [r_quarantined].  Quarantine is keyed on worker
-    {e crashes}, never on lease expiries: a slow unit regranted many
-    times is not poison.  Nor is a forked worker that exits with
-    status 0 — it lost its link — charged; a remote peer leaves no
-    exit status, so its lost connection still counts as a crash.
+    surfaced in [r_quarantined].  A unit is charged only on evidence of
+    a crash: a forked worker's exit status other than 0.  Lease
+    expiries are never charged, so a slow unit regranted many times is
+    not poison.  A worker whose link fails exits with status 0 and is
+    not charged either, and a remote peer leaves no exit status, so
+    its EOF, reset or failed write is a lost link: requeued, never
+    charged.  A remote-only campaign ([workers = 0]) therefore never
+    quarantines; a remote poison unit costs the remote workers it
+    kills, and the run's budget bounds that.
 
     With a {!Chaos} spec armed, workers reseed their injection streams
     with their peer id and fire the [worker-crash], [worker-hang],
@@ -136,22 +144,18 @@ type config = {
   stop_after_errors : int option;
   label : string;                 (** run name, checked on resume and
                                       in the remote hello handshake *)
-  heartbeat_ms : int option;
-      (** worker heartbeat period, pushed to remote peers in the
-          welcome frame; [None] disables heartbeats and the watchdog
-          (a wedged worker then blocks the run unless [lease_ms]
-          bounds it) *)
   max_unit_crashes : int;
-      (** worker deaths attributable to one prefix before that unit is
-          quarantined instead of requeued; >= 1 *)
+      (** forked-worker crashes attributable to one prefix before that
+          unit is quarantined instead of requeued; >= 1 *)
   listen : Transport.listener option;
       (** accept remote TCP workers on this (already-bound) listener;
           the caller owns and closes it.  [None] for a purely local
           pool *)
   lease_ms : int option;
       (** lease deadline per grant; a holder silent this long loses
-          the grant (requeue, no kill).  [None] disables expiry —
-          liveness then rests on the watchdog alone *)
+          the grant (requeue, no kill) and is expired (see Leases).
+          [None] disables expiry, and a wedged worker then blocks the
+          run *)
   cookie : string option;
       (** opaque parameter fingerprint; a dialing worker must present
           the same cookie or its hello is rejected, catching
@@ -176,8 +180,7 @@ type result = {
   r_dispatched : int;   (** units handed to workers (incl. re-grants) *)
   r_requeued : int;
       (** units re-queued (aborts + worker deaths + lease expiries) *)
-  r_worker_deaths : int;  (** peers lost (crashes, resets, watchdog) *)
-  r_hung : int;         (** peers killed by the heartbeat watchdog *)
+  r_worker_deaths : int;  (** peers lost (crashes, resets, lost links) *)
   r_quarantined : int;  (** poison units dropped after repeated crashes *)
   r_lease_expired : int;
       (** leases that passed their deadline and were re-granted *)

@@ -2,33 +2,21 @@ module Json = Obs.Json
 
 (* A peer that went away mid-conversation.  Both framing directions map
    the "other side is gone" errno family (and EOF) onto this exception,
-   so the pool can route every lost-connection shape — dead pipe peer,
-   TCP reset, half-closed socket — through one worker-death path
-   instead of dying on an unhandled EPIPE. *)
+   so the pool can route every lost-connection shape — dead worker,
+   TCP reset, half-closed socket — through one lost-link path instead
+   of dying on an unhandled EPIPE. *)
 exception Disconnected of string
 
 let disconnected where = raise (Disconnected where)
 
 let init () = Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
-type kind = Pipe | Tcp
-
-let kind_to_string = function Pipe -> "pipe" | Tcp -> "tcp"
-
 type conn = {
-  c_in : Unix.file_descr;   (* frames arriving from the peer *)
-  c_out : Unix.file_descr;  (* frames going to the peer *)
-  c_kind : kind;
+  c_fd : Unix.file_descr;   (* one stream socket, both directions *)
   c_addr : string;          (* human-readable peer address *)
 }
 
-let pipe_conn ~addr c_in c_out = { c_in; c_out; c_kind = Pipe; c_addr = addr }
-
-let describe c = Printf.sprintf "%s:%s" (kind_to_string c.c_kind) c.c_addr
-
-let close c =
-  (try Unix.close c.c_in with _ -> ());
-  if c.c_out != c.c_in then (try Unix.close c.c_out with _ -> ())
+let close c = try Unix.close c.c_fd with _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Framing: ASCII decimal payload length, a newline, then one JSON
@@ -109,8 +97,8 @@ let read_frame_fd fd =
   | Ok j -> j
   | Error e -> failwith ("transport: malformed frame: " ^ e)
 
-let write_frame c j = write_frame_fd c.c_out j
-let read_frame c = read_frame_fd c.c_in
+let write_frame c j = write_frame_fd c.c_fd j
+let read_frame c = read_frame_fd c.c_fd
 
 (* ------------------------------------------------------------------ *)
 (* TCP listener / dialer *)
@@ -158,7 +146,7 @@ let accept l =
   let fd, peer = Unix.accept l.l_fd in
   Unix.set_close_on_exec fd;
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with _ -> ());
-  { c_in = fd; c_out = fd; c_kind = Tcp; c_addr = addr_string peer }
+  { c_fd = fd; c_addr = addr_string peer }
 
 let connect ~host ~port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -173,8 +161,7 @@ let connect ~host ~port =
    | exn ->
      (try Unix.close fd with _ -> ());
      raise exn);
-  { c_in = fd; c_out = fd; c_kind = Tcp;
-    c_addr = Printf.sprintf "%s:%d" host port }
+  { c_fd = fd; c_addr = Printf.sprintf "%s:%d" host port }
 
 (* ------------------------------------------------------------------ *)
 (* Reconnect backoff *)

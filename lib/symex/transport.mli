@@ -1,21 +1,22 @@
-(** Framed-JSON transport: one protocol over pipes and TCP sockets.
+(** Framed-JSON transport: one protocol over one kind of connection.
 
     The pool's wire format is a length-prefixed {!Obs.Json} frame:
     the payload byte length in ASCII decimal, a ['\n'], then exactly
-    that many bytes of JSON.  This module owns the framing plus the two
-    physical transports that carry it — anonymous pipe pairs for forked
-    local workers and TCP connections for remote ones — so the dispatch
-    loop in {!Pool} never branches on transport kind.
+    that many bytes of JSON.  This module owns the framing and the
+    connection that carries it: a stream socket, either one end of a
+    [Unix.socketpair] (a forked local worker) or a TCP connection (a
+    remote one), so the dispatch loop in {!Pool} never branches on
+    where a peer runs.
 
     Every "peer went away" failure shape (EOF, [EPIPE], [ECONNRESET],
     …) is normalized to the single {!Disconnected} exception, which the
-    pool maps onto its worker-death/requeue path.  Call {!init} (or
-    have the pool do it) so a dead peer raises instead of delivering a
-    fatal SIGPIPE. *)
+    pool maps onto its lost-link/requeue path.  Call {!init} (or have
+    the pool do it) so a dead peer raises instead of delivering a fatal
+    SIGPIPE. *)
 
 (** Raised by reads and writes when the peer is gone: end-of-file, a
-    closed pipe, or a reset/aborted socket.  The payload says which
-    operation observed it (e.g. ["write: Broken pipe"]). *)
+    closed socket, or a reset/aborted connection.  The payload says
+    which operation observed it (e.g. ["write: Broken pipe"]). *)
 exception Disconnected of string
 
 val init : unit -> unit
@@ -25,34 +26,19 @@ val init : unit -> unit
 
 (** {1 Connections} *)
 
-type kind = Pipe | Tcp
-
-val kind_to_string : kind -> string
-
 type conn = {
-  c_in : Unix.file_descr;   (** frames arriving from the peer *)
-  c_out : Unix.file_descr;  (** frames going to the peer *)
-  c_kind : kind;
+  c_fd : Unix.file_descr;   (** one stream socket, read and written *)
   c_addr : string;          (** peer address, e.g. ["127.0.0.1:49152"]
-                                or ["w0"] for a forked pipe worker *)
+                                or ["w0"] for a forked local worker *)
 }
 
-val pipe_conn : addr:string -> Unix.file_descr -> Unix.file_descr -> conn
-(** Wrap an already-created pipe pair (read end, write end). *)
-
-val describe : conn -> string
-(** ["pipe:w0"] / ["tcp:127.0.0.1:49152"] — used in watchdog reap
-    messages and [--top] worker rows. *)
-
 val close : conn -> unit
-(** Close both descriptors (once, if they are the same socket).
-    Never raises. *)
+(** Close the socket.  Never raises. *)
 
 (** {1 Framing}
 
-    The [_fd] variants work on raw descriptors for call sites that own
-    only half a connection (forked workers talking over inherited pipe
-    ends). *)
+    The [_fd] variants work on raw descriptors for call sites that hold
+    no {!conn}, such as {!Pool.fork_map}'s result pipes. *)
 
 val frame_string : Obs.Json.t -> string
 (** The exact bytes a frame puts on the wire. *)
@@ -66,7 +52,10 @@ val read_frame_fd : Unix.file_descr -> Obs.Json.t
     gone and [Failure] on a malformed header or payload (a framing bug
     or corruption, not a liveness event).  A header is malformed once it
     runs past the 10 digits of the largest allowed length, [1 lsl 30],
-    so a peer cannot make the reader consume an unbounded header. *)
+    so a peer cannot make the reader consume an unbounded header.  On a
+    socket with [SO_RCVTIMEO] set, a wait longer than the timeout
+    raises [Unix.Unix_error] ([EAGAIN]), so a peer that stops halfway
+    through a frame cannot block the reader. *)
 
 val write_all : Unix.file_descr -> Bytes.t -> int -> int -> unit
 (** [write_all fd buf off len]: loop until all [len] bytes are written.

@@ -4,8 +4,8 @@
    These tests arm the Chaos injector against the verifier's own
    solver, worker pool and checkpoint layers and assert that the
    hardening added alongside it actually heals every injected failure
-   mode: solver retries absorb injected Unknowns, the heartbeat
-   watchdog reaps a SIGSTOPped worker, poison units are quarantined
+   mode: solver retries absorb injected Unknowns, an expired lease
+   replaces a SIGSTOPped worker, poison units are quarantined
    rather than retried forever, a corrupted checkpoint falls back to
    its .bak rotation — and, the acceptance property, a whole campaign
    under a fixed chaos spec/seed converges to the clean run's
@@ -25,9 +25,9 @@ module Solver = Smt.Solver
 module Verify = Symsysc.Verify
 module Report = Symsysc.Report
 
-let scenario ?strategy ?workers ?heartbeat_ms ?validate () =
-  Verify.scenario ~num_sources:4 ~t5_max_len:8 ?strategy ?workers
-    ?heartbeat_ms ?validate ()
+let scenario ?strategy ?workers ?lease_ms ?validate () =
+  Verify.scenario ~num_sources:4 ~t5_max_len:8 ?strategy ?workers ?lease_ms
+    ?validate ()
 
 (* Chaos and the retry count are process-global; every test that arms
    them must disarm on the way out or it poisons the suites that run
@@ -336,7 +336,7 @@ let test_chaos_corrupts_checkpoint_write () =
       | Error e -> Alcotest.fail ("expected .bak fallback: " ^ e))
 
 (* ------------------------------------------------------------------ *)
-(* Worker watchdog and poison-unit quarantine                          *)
+(* Lease expiry and poison-unit quarantine                             *)
 
 let unit_ok ?(forks = []) () =
   { Pool.outcome = Pool.Unit_completed; forks; errors = []; visits = [];
@@ -345,54 +345,72 @@ let unit_ok ?(forks = []) () =
     coverage = Obs.Coverage.zero; profile = Obs.Profile.zero;
     events = []; events_dropped = 0 }
 
-(* A SIGSTOPped worker emits no heartbeats and never exits, which used
-   to block the run forever; the watchdog must reap and replace it. *)
-let test_watchdog_reaps_sigstopped_worker () =
-  let flag = Filename.temp_file "symsysc_stop" ".flag" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove flag with Sys_error _ -> ())
-    (fun () ->
-       let config =
-         { Pool.workers = 2; strategy = Search.Dfs;
-           limits = Engine.no_limits; stop_after_errors = None;
-           label = "stop-test"; heartbeat_ms = Some 50;
-           max_unit_crashes = 3; listen = None; lease_ms = None;
-           cookie = None }
-       in
-       let exec ~prefix =
-         match Array.to_list prefix with
-         | [] ->
-           unit_ok
-             ~forks:
-               [ ("root", [| Decision.Dir false |]);
-                 ("root", [| Decision.Dir true |]) ]
-             ()
-         | [ Decision.Dir true ] when Sys.file_exists flag ->
-           (try Sys.remove flag with Sys_error _ -> ());
-           Unix.kill (Unix.getpid ()) Sys.sigstop;
-           (* unreachable: the watchdog SIGKILLs us while stopped *)
-           unit_ok ()
-         | _ -> unit_ok ()
-       in
-       let r = Pool.run config ~exec () in
-       Alcotest.(check int) "watchdog reaped one hung worker" 1
-         r.Pool.r_hung;
-       Alcotest.(check int) "the hang counts as a worker death" 1
-         r.Pool.r_worker_deaths;
-       Alcotest.(check bool) "the in-flight unit was re-queued" true
-         (r.Pool.r_requeued >= 1);
-       Alcotest.(check int) "all three units completed" 3 r.Pool.r_completed;
-       Alcotest.(check bool) "run still counts as exhaustive" true
-         r.Pool.r_exhausted)
+(* A SIGSTOPped worker sends no result and never exits.  Its lease
+   expires: the unit is requeued without blame, the worker gets no new
+   unit and is replaced, and shutdown kills and reaps it.  The stopped
+   worker leaves its pid in the flag file; the regrant finds the file
+   filled and completes.  The run is forked, so that a pool wedged on
+   the stopped worker fails at the deadline instead of hanging. *)
+let test_expired_lease_replaces_stopped_worker () =
+  let run workers () =
+    let flag = Filename.temp_file "symsysc_stop" ".pid" in
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove flag with Sys_error _ -> ())
+      (fun () ->
+         let config =
+           { Pool.workers; strategy = Search.Dfs; limits = Engine.no_limits;
+             stop_after_errors = None; label = "stop-test";
+             max_unit_crashes = 3; listen = None; lease_ms = Some 200;
+             cookie = None }
+         in
+         let exec ~prefix =
+           match Array.to_list prefix with
+           | [] ->
+             unit_ok
+               ~forks:
+                 [ ("root", [| Decision.Dir false |]);
+                   ("root", [| Decision.Dir true |]) ]
+               ()
+           | [ Decision.Dir true ] when (Unix.stat flag).Unix.st_size = 0 ->
+             Out_channel.with_open_text flag (fun oc ->
+                 output_string oc (string_of_int (Unix.getpid ())));
+             Unix.kill (Unix.getpid ()) Sys.sigstop;
+             unit_ok ()
+           | _ -> unit_ok ()
+         in
+         let r = Pool.run config ~exec () in
+         let pid =
+           int_of_string (In_channel.with_open_text flag In_channel.input_all)
+         in
+         let reaped =
+           match Unix.kill pid 0 with
+           | () -> false
+           | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true
+         in
+         Printf.sprintf
+           "lease expired %b, worker deaths %d, quarantined %d, \
+            completed %d, exhausted %b, stopped worker reaped %b"
+           (r.Pool.r_lease_expired >= 1) r.Pool.r_worker_deaths
+           r.Pool.r_quarantined r.Pool.r_completed r.Pool.r_exhausted
+           reaped)
+  in
+  List.iter
+    (fun workers ->
+       Alcotest.(check (option string))
+         (Printf.sprintf "%d workers: finished within 20 s" workers)
+         (Some
+            "lease expired true, worker deaths 0, quarantined 0, completed 3, \
+             exhausted true, stopped worker reaped true")
+         (Test_distributed.within ~seconds:20.0 (run workers)))
+    [ 1; 2 ]
 
 (* A unit that kills every worker it touches must be dropped after
    max_unit_crashes, not retried until the respawn cap burns out. *)
 let test_poison_unit_quarantined () =
   let config =
     { Pool.workers = 2; strategy = Search.Dfs; limits = Engine.no_limits;
-      stop_after_errors = None; label = "poison-test";
-      heartbeat_ms = None; max_unit_crashes = 2; listen = None;
-      lease_ms = None; cookie = None }
+      stop_after_errors = None; label = "poison-test"; max_unit_crashes = 2;
+      listen = None; lease_ms = None; cookie = None }
   in
   let exec ~prefix =
     match Array.to_list prefix with
@@ -422,25 +440,12 @@ let test_poison_unit_quarantined () =
 let test_lost_link_is_not_a_crash () =
   let config =
     { Pool.workers = 2; strategy = Search.Dfs; limits = Engine.no_limits;
-      stop_after_errors = None; label = "link-test";
-      heartbeat_ms = None; max_unit_crashes = 1; listen = None;
-      lease_ms = None; cookie = None }
-  in
-  let exec ~prefix =
-    match Array.to_list prefix with
-    | [] ->
-      unit_ok
-        ~forks:
-          (List.init 8 (fun i ->
-               ( "root",
-                 Array.init 3 (fun b -> Decision.Dir (i land (1 lsl b) <> 0))
-               )))
-        ()
-    | _ -> unit_ok ()
+      stop_after_errors = None; label = "link-test"; max_unit_crashes = 1;
+      listen = None; lease_ms = None; cookie = None }
   in
   let r =
     with_chaos ~seed:5 [ (Chaos.Conn_drop, 0.4); (Chaos.Frame_shear, 0.4) ]
-      (fun () -> Pool.run config ~exec ())
+      (fun () -> Pool.run config ~exec:Test_distributed.nine_units ())
   in
   Alcotest.(check bool) "link faults took workers down" true
     (r.Pool.r_worker_deaths >= 1);
@@ -474,9 +479,10 @@ let test_sigterm_sets_interrupt () =
 (* ------------------------------------------------------------------ *)
 (* Acceptance: chaos campaign converges to the clean run               *)
 
-(* Every point armed at once (worker points need the watchdog, hence
-   heartbeats).  Rates are low enough that retries/requeues heal every
-   injection; the spec/seed is fixed so the campaign is reproducible. *)
+(* Every point armed at once (a hung worker is cleared only by its
+   lease expiring, hence the lease).  Rates are low enough that
+   retries/requeues heal every injection; the spec/seed is fixed so the
+   campaign is reproducible. *)
 let campaign_spec =
   [ (Chaos.Solver_unknown, 0.1);
     (Chaos.Solver_stall, 0.02);
@@ -500,7 +506,7 @@ let check_campaign_equiv name () =
          with_retries 8 (fun () ->
              with_chaos ~seed:11 campaign_spec (fun () ->
                  Verify.run_test
-                   (scenario ~workers ~heartbeat_ms:50 ())
+                   (scenario ~workers ~lease_ms:1000 ())
                    name))
        in
        let res = chaotic.Report.engine.Engine.resilience in
@@ -552,8 +558,8 @@ let suite =
      test_checkpoint_crc_rejects_flip);
     ("checkpoint: chaos-corrupted write rescued by rotation", `Quick,
      test_chaos_corrupts_checkpoint_write);
-    ("pool: watchdog reaps a SIGSTOPped worker", `Quick,
-     test_watchdog_reaps_sigstopped_worker);
+    ("pool: an expired lease replaces a SIGSTOPped worker", `Quick,
+     test_expired_lease_replaces_stopped_worker);
     ("pool: poison unit quarantined", `Quick, test_poison_unit_quarantined);
     ("budget: SIGTERM interrupts gracefully", `Quick,
      test_sigterm_sets_interrupt);

@@ -1,14 +1,15 @@
 (* Distributed exploration tests.
 
-   The socket transport promises exactly what the pipe transport does:
-   a campaign spread over remote TCP worker pools reaches the same
-   verdict, path totals and bug sites as the sequential run — and
-   keeps doing so when a worker pool is SIGKILLed mid-campaign, when a
-   pool drains on SIGTERM, when leases expire on a slow holder, and
-   under injected network faults (dropped connections, stalled and
-   sheared frames, duplicated results).  On top of the end-to-end
-   equivalences: the pure reconnect-backoff schedule, the framing and
-   EPIPE normalization of the transport, the first-result-wins lease
+   Remote TCP workers promise exactly what forked workers do: a
+   campaign spread over remote worker pools reaches the same verdict,
+   path totals and bug sites as the sequential run — and keeps doing
+   so when a worker pool is SIGKILLed mid-campaign, when a pool drains
+   on SIGTERM, when leases expire on a slow holder, and under injected
+   network faults (dropped connections, stalled and sheared frames,
+   duplicated results), which are never charged to a unit.  On top of
+   the end-to-end equivalences: the pure reconnect-backoff schedule,
+   the framing and EPIPE normalization of the transport, a master that
+   a half-written frame cannot wedge, the first-result-wins lease
    bookkeeping, and lease-carrying checkpoints crossing between the
    sequential and distributed engines. *)
 
@@ -42,6 +43,47 @@ let fingerprint (r : Report.t) =
          (fun (err : Symex.Error.t) ->
             (err.Symex.Error.site, Symex.Error.kind_to_string err.Symex.Error.kind))
          e.Engine.errors) )
+
+(* Run [f] in a forked child in its own process group and return the
+   string it produced, or [None] if it has not finished after [seconds];
+   the whole group (the child and every worker it forked) is then
+   SIGKILLed, so a wedged pool fails the test instead of hanging it. *)
+let within ~seconds f =
+  let r, w = Unix.pipe () in
+  flush stdout;
+  flush stderr;
+  match Unix.fork () with
+  | 0 ->
+    ignore (Unix.setsid ());
+    Unix.close r;
+    Obs.Progress.disable ();
+    Obs.Sink.reset ();
+    let msg = try f () with e -> "raised " ^ Printexc.to_string e in
+    Transport.write_frame_fd w (Obs.Json.Str msg);
+    Unix._exit 0
+  | kid ->
+    Unix.close w;
+    let deadline = Unix.gettimeofday () +. seconds in
+    let rec await () =
+      match Unix.waitpid [ Unix.WNOHANG ] kid with
+      | 0, _ when Unix.gettimeofday () < deadline ->
+        Unix.sleepf 0.02;
+        await ()
+      | 0, _ ->
+        (try Unix.kill (-kid) Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] kid);
+        None
+      | _, Unix.WEXITED 0 ->
+        (match Transport.read_frame_fd r with
+         | Obs.Json.Str msg -> Some msg
+         | _ -> Some "child sent no message"
+         | exception _ -> Some "child sent no message")
+      | _ ->
+        (* Its workers may still hold the pipe: reading could block. *)
+        (try Unix.kill (-kid) Sys.sigkill with Unix.Unix_error _ -> ());
+        Some "child died before reporting"
+    in
+    Fun.protect ~finally:(fun () -> Unix.close r) await
 
 (* ------------------------------------------------------------------ *)
 (* Reconnect backoff                                                   *)
@@ -82,10 +124,8 @@ let test_backoff_schedule () =
 let test_frame_roundtrip_socketpair () =
   Transport.init ();
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let ca = { Transport.c_in = a; c_out = a; c_kind = Transport.Tcp;
-             c_addr = "a" }
-  and cb = { Transport.c_in = b; c_out = b; c_kind = Transport.Tcp;
-             c_addr = "b" } in
+  let ca = { Transport.c_fd = a; c_addr = "a" }
+  and cb = { Transport.c_fd = b; c_addr = "b" } in
   let msg =
     Obs.Json.Obj
       [ ("cmd", Obs.Json.Str "unit");
@@ -124,8 +164,7 @@ let test_overlong_header_is_malformed () =
 let test_write_to_closed_peer_is_disconnected () =
   Transport.init ();
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let ca = { Transport.c_in = a; c_out = a; c_kind = Transport.Tcp;
-             c_addr = "a" } in
+  let ca = { Transport.c_fd = a; c_addr = "a" } in
   Unix.close b;
   let payload = Obs.Json.Str (String.make 65536 'x') in
   let disconnected =
@@ -144,8 +183,7 @@ let test_write_to_closed_peer_is_disconnected () =
   (* And reading from a closed peer is Disconnected too (EOF shape). *)
   let c, d = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.close d;
-  let cc = { Transport.c_in = c; c_out = c; c_kind = Transport.Tcp;
-             c_addr = "c" } in
+  let cc = { Transport.c_fd = c; c_addr = "c" } in
   let eof =
     try ignore (Transport.read_frame cc); false
     with Transport.Disconnected _ -> true
@@ -164,9 +202,6 @@ let test_lease_first_result_wins () =
     (Lease.expired e ~now:100.04);
   Alcotest.(check bool) "expired past the deadline" true
     (Lease.expired e ~now:100.06);
-  Lease.renew t e ~now:100.06;
-  Alcotest.(check bool) "renewal pushes the deadline out" false
-    (Lease.expired e ~now:100.10);
   (* Expiry requeues; regrant bumps attempts. *)
   Lease.requeue t e;
   Alcotest.(check int) "one pending regrant" 1 (Lease.pending t);
@@ -439,7 +474,7 @@ let test_lease_expiry_regrants () =
        let config =
          { Pool.workers = 2; strategy = Search.Dfs;
            limits = Engine.no_limits; stop_after_errors = None;
-           label = "lease-test"; heartbeat_ms = None; max_unit_crashes = 3;
+           label = "lease-test"; max_unit_crashes = 3;
            listen = None; lease_ms = Some 100; cookie = None }
        in
        let exec ~prefix =
@@ -469,6 +504,91 @@ let test_lease_expiry_regrants () =
          r.Pool.r_completed;
        Alcotest.(check bool) "run still counts as exhaustive" true
          r.Pool.r_exhausted)
+
+(* A root unit that forks eight leaves: nine units in all. *)
+let nine_units ~prefix =
+  match Array.to_list prefix with
+  | [] ->
+    unit_ok
+      ~forks:
+        (List.init 8 (fun i ->
+             ( "root",
+               Array.init 3 (fun b -> Decision.Dir (i land (1 lsl b) <> 0)) )))
+      ()
+  | _ -> unit_ok ()
+
+let listening_config ~label ~workers l =
+  { Pool.workers; strategy = Search.Dfs;
+    limits = { Engine.no_limits with Engine.max_seconds = Some 15.0 };
+    stop_after_errors = None; label; max_unit_crashes = 1; listen = Some l;
+    lease_ms = Some 2000; cookie = None }
+
+(* The remote twin of [chaos]' "pool: a lost link is not a unit crash".
+   A remote peer leaves no exit status, so its dropped or sheared link
+   is a lost link: the unit is requeued without blame, and even a crash
+   budget of one quarantines nothing.  The master has no local workers;
+   a forked remote pool of two serves it under link faults alone. *)
+let test_lost_remote_link_is_not_a_crash () =
+  let run () =
+    let l = Transport.listen ~host:"127.0.0.1" ~port:0 () in
+    let _, port = Transport.listener_addr l in
+    let pool =
+      match Unix.fork () with
+      | 0 ->
+        Unix.close (Transport.listener_fd l);
+        Chaos.configure ~seed:1
+          [ (Chaos.Conn_drop, 0.4); (Chaos.Frame_shear, 0.4) ];
+        let code =
+          try
+            Pool.serve ~host:"127.0.0.1" ~port ~workers:2 ~label:"remote-link"
+              ~strategy:Search.Dfs ~exec:nine_units ()
+          with _ -> 1
+        in
+        Unix._exit code
+      | pid -> pid
+    in
+    let r =
+      Pool.run
+        (listening_config ~label:"remote-link" ~workers:0 l)
+        ~exec:nine_units ()
+    in
+    Transport.close_listener l;
+    let code =
+      match Unix.waitpid [] pool with
+      | _, Unix.WEXITED c -> c
+      | _ -> -1
+    in
+    Printf.sprintf "quarantined %d, completed %d, exhausted %b, pool exit %d"
+      r.Pool.r_quarantined r.Pool.r_completed r.Pool.r_exhausted code
+  in
+  Alcotest.(check (option string)) "finished within 30 s"
+    (Some "quarantined 0, completed 9, exhausted true, pool exit 0")
+    (within ~seconds:30.0 run)
+
+(* A dialer that writes half a frame and goes quiet must not wedge the
+   master: every master-side socket has a receive timeout, after which
+   an unregistered dialer is dropped.  The dial and its half frame are
+   made before the campaign starts, so the master meets them while its
+   one local worker still has work. *)
+let test_half_frame_dialer () =
+  let run () =
+    let l = Transport.listen ~host:"127.0.0.1" ~port:0 () in
+    let _, port = Transport.listener_addr l in
+    let dialer = Transport.connect ~host:"127.0.0.1" ~port in
+    Transport.write_all dialer.Transport.c_fd (Bytes.of_string "12\n{") 0 4;
+    let r =
+      Pool.run
+        { (listening_config ~label:"half-frame" ~workers:1 l) with
+          lease_ms = Some 500 }
+        ~exec:nine_units ()
+    in
+    Transport.close dialer;
+    Transport.close_listener l;
+    Printf.sprintf "completed %d, exhausted %b" r.Pool.r_completed
+      r.Pool.r_exhausted
+  in
+  Alcotest.(check (option string)) "finished within 20 s"
+    (Some "completed 9, exhausted true") (within ~seconds:20.0 run)
 
 (* ------------------------------------------------------------------ *)
 (* Network chaos: campaign fingerprints survive injected faults        *)
@@ -581,8 +701,8 @@ let test_seq_resume_of_lease_checkpoint () =
 let test_pool_resume_of_lease_checkpoint () =
   let config =
     { Pool.workers = 2; strategy = Search.Dfs; limits = Engine.no_limits;
-      stop_after_errors = None; label = "lease-ck"; heartbeat_ms = None;
-      max_unit_crashes = 3; listen = None; lease_ms = None; cookie = None }
+      stop_after_errors = None; label = "lease-ck"; max_unit_crashes = 3;
+      listen = None; lease_ms = None; cookie = None }
   in
   let exec ~prefix =
     match Array.to_list prefix with
@@ -662,4 +782,8 @@ let suite =
   @ [ ("transport: overlong frame header is malformed", `Quick,
        test_overlong_header_is_malformed);
       ("distributed: a pool ends when its late sibling missed the campaign",
-       `Slow, test_pool_ends_after_late_sibling) ]
+       `Slow, test_pool_ends_after_late_sibling);
+      ("pool: a lost remote link is not a unit crash", `Slow,
+       test_lost_remote_link_is_not_a_crash);
+      ("distributed: a half-frame dialer does not wedge the master", `Slow,
+       test_half_frame_dialer) ]

@@ -103,7 +103,7 @@ let test_worker_death_requeued () =
        let config =
          { Pool.workers = 2; strategy = Search.Dfs;
            limits = Engine.no_limits; stop_after_errors = None;
-           label = "kill-test"; heartbeat_ms = None; max_unit_crashes = 3;
+           label = "kill-test"; max_unit_crashes = 3;
            listen = None; lease_ms = None; cookie = None }
        in
        let exec ~prefix =

@@ -632,7 +632,7 @@ let test_daemon_survives_malformed_frame () =
       let pid, port = spawn_daemon dir in
       wait_for_daemon ~port 100;
       let conn = Transport.connect ~host:"127.0.0.1" ~port in
-      let fd = conn.Transport.c_in in
+      let fd = conn.Transport.c_fd in
       Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
       ignore (Unix.write_substring fd "hello\n" 0 6);
       (* Wait until the daemon has dropped the connection. *)
